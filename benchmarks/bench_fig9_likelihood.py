@@ -16,7 +16,7 @@ import numpy as np
 
 from benchmarks.conftest import BENCH_SEED, shape_check
 from repro.gan import ConditionalGAN
-from repro.security import security_likelihood_analysis
+from repro.security import security_analysis
 from repro.utils.ascii_plot import ascii_line_plot
 from repro.utils.tables import format_table
 
@@ -54,13 +54,13 @@ def _likelihood_trajectory(cgan, train, test):
             conds = np.tile(np.asarray(cond, dtype=float), (n, 1))
             return _g.predict(np.hstack([z, conds]))
 
-        res = security_likelihood_analysis(
+        res = security_analysis(
             sampler,
             test,
             conditions=cond1[None, :],
             h=H,
             g_size=G_SIZE,
-            seed=BENCH_SEED,
+            root_entropy=BENCH_SEED,
         )
         iters.append(iteration)
         cor.append(float(res.avg_correct[0].mean()))

@@ -18,8 +18,8 @@ import numpy as np
 from benchmarks.conftest import BENCH_SEED, shape_check
 from repro.security import (
     choose_analysis_feature,
-    likelihood_h_sweep,
-    security_likelihood_analysis,
+    security_analysis,
+    security_analysis_h_sweep,
 )
 from repro.utils.tables import format_grouped_table
 
@@ -31,13 +31,13 @@ def _run_sweep(cgan, train, test):
     ft = choose_analysis_feature(
         cgan, train, h=H_VALUES[0], objective="peak", seed=BENCH_SEED
     )
-    sweep = likelihood_h_sweep(
+    sweep = security_analysis_h_sweep(
         cgan,
         test,
         h_values=H_VALUES,
         feature_indices=[ft],
         g_size=G_SIZE,
-        seed=BENCH_SEED,
+        root_entropy=BENCH_SEED,
     )
     return ft, sweep
 
@@ -111,11 +111,11 @@ def test_table1_h_sweep(benchmark, bench_cgan, bench_split):
 
     # Benchmark the core Algorithm 3 call at the paper's default h.
     benchmark(
-        security_likelihood_analysis,
+        security_analysis,
         bench_cgan,
         test,
         feature_indices=[ft],
         h=0.2,
         g_size=G_SIZE,
-        seed=BENCH_SEED,
+        root_entropy=BENCH_SEED,
     )

@@ -51,7 +51,7 @@ from repro.manufacturing import (
 from repro.security import (
     build_security_report,
     choose_analysis_feature,
-    likelihood_h_sweep,
+    security_analysis_h_sweep,
 )
 from repro.utils.tables import format_grouped_table
 
@@ -170,7 +170,7 @@ def _run_analyze(args) -> int:
     cgan = load_cgan(args.model)
     _train, test = dataset.split(args.test_fraction, seed=args.seed)
     # The Algorithm 3 table goes through the parallel engine; the rest
-    # of the report (attacker, MI) runs serially as before.
+    # of the report (attacker, MI) runs serially.
     likelihood = security_analysis(
         cgan,
         test,
@@ -202,13 +202,14 @@ def _cmd_table1(args) -> int:
         cgan, train, h=0.2, objective="peak", seed=args.seed
     )
     h_values = (0.2, 0.4, 0.6, 0.8, 1.0)
-    sweep = likelihood_h_sweep(
+    sweep = security_analysis_h_sweep(
         cgan,
         test,
         h_values=h_values,
         feature_indices=[ft],
         g_size=args.g_size,
-        seed=args.seed,
+        root_entropy=args.seed,
+        pair=dataset.name,
     )
     conds = test.unique_conditions()
     values = [

@@ -57,7 +57,7 @@ from repro.runtime.training import (
     run_training_job,
 )
 from repro.security.report import SecurityReport, build_security_report
-from repro.utils.rng import as_rng, derive_rngs, fresh_entropy
+from repro.utils.rng import as_root_entropy
 
 #: Pair-directory names that are safe to build from raw flow names; any
 #: other name goes through the indexed layout + manifest.json.
@@ -101,13 +101,9 @@ class GANSec:
         self.config = config or GANSecConfig()
         self.graph_result: GraphGenerationResult | None = None
         self.models: dict[FlowPairKey, PairModel] = {}
-        self._rng = as_rng(self.config.seed)
         # Root entropy for the schedule-independent per-pair seed
         # fan-out (see repro.utils.rng.derive_rngs).
-        if isinstance(self.config.seed, int):
-            self._root_entropy = int(self.config.seed)
-        else:
-            self._root_entropy = fresh_entropy()
+        self._root_entropy = as_root_entropy(self.config.seed)
         # Generated-sample LRU shared across analyze() calls: repeated
         # analyses (e.g. h sweeps) reuse each condition's draw because
         # the cache key excludes the Parzen bandwidth.
@@ -124,6 +120,15 @@ class GANSec:
         can reproduce any derived stream.
         """
         return self._root_entropy
+
+    def _replace_model(self, key: FlowPairKey, model: PairModel) -> None:
+        """Install *model* for *key*, dropping draws of the model it replaces.
+
+        Cached generator draws are keyed by pair label, not by model, so
+        a retrained or reloaded pair must not see its predecessor's.
+        """
+        self._sample_cache.discard_pair(str(key))
+        self.models[key] = model
 
     # -- step 1: Algorithm 1 -----------------------------------------------------
     def generate_graph(self, data) -> GraphGenerationResult:
@@ -278,11 +283,14 @@ class GANSec:
                 for it, tot, d_loss, g_loss in outcome.progress:
                     _emit_progress(str(job.key), it, tot, d_loss, g_loss)
             if outcome.ok:
-                self.models[job.key] = PairModel(
-                    pair_names=job.key,
-                    cgan=outcome.cgan,
-                    train_set=outcome.train_set,
-                    test_set=outcome.test_set,
+                self._replace_model(
+                    job.key,
+                    PairModel(
+                        pair_names=job.key,
+                        cgan=outcome.cgan,
+                        train_set=outcome.train_set,
+                        test_set=outcome.test_set,
+                    ),
                 )
                 completed.append(job.key)
                 final = outcome.cgan.history.final()
@@ -401,10 +409,6 @@ class GANSec:
         reports: dict[FlowPairKey, SecurityReport] = {}
         for key in targets:
             model = self.models[key]
-            # One schedule-independent stream per pair, like training.
-            (report_rng,) = derive_rngs(
-                self._root_entropy, ("analyze", key.first, key.second), 1
-            )
             report = build_security_report(
                 model.cgan,
                 model.test_set,
@@ -412,7 +416,7 @@ class GANSec:
                 h=cfg.h,
                 g_size=cfg.g_size,
                 feature_indices=cfg.feature_indices,
-                seed=report_rng,
+                seed=self._root_entropy,
                 likelihood=likelihoods[key],
             )
             model.report = report
@@ -560,7 +564,8 @@ class GANSec:
             )
         if not loaded:
             raise SerializationError(f"no pair models found under {directory}")
-        self.models.update(loaded)
+        for key, model in loaded.items():
+            self._replace_model(key, model)
         return loaded
 
     def summary(self) -> str:

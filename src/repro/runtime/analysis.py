@@ -26,7 +26,7 @@ import threading
 import time
 import traceback
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,6 +101,12 @@ class ConditionSampleCache:
         with self._lock:
             self._entries.clear()
 
+    def discard_pair(self, pair: str) -> None:
+        """Drop every draw cached for *pair* (e.g. after its model changed)."""
+        with self._lock:
+            for key in [k for k in self._entries if k[0] == pair]:
+                del self._entries[key]
+
     def __len__(self):
         with self._lock:
             return len(self._entries)
@@ -165,16 +171,6 @@ class AnalysisOutcome:
         return self.error is None
 
 
-@dataclass
-class _SamplerRef:
-    """Deferred, picklable handle used by jobs that carry a CGAN."""
-
-    cgan: object = field(repr=False)
-
-    def __call__(self, condition, n, rng):
-        return self.cgan.generate_for_condition(condition, n, seed=rng)
-
-
 def run_analysis_job(job: AnalysisJob) -> AnalysisOutcome:
     """Execute *job*; never raises.
 
@@ -185,21 +181,26 @@ def run_analysis_job(job: AnalysisJob) -> AnalysisOutcome:
     """
     start = time.perf_counter()
     try:
-        from repro.security.parzen import ParzenWindow
+        # Local import: repro.security builds on this module.
+        from repro.security.model import draw_condition_samples, fit_feature_windows
 
         cache_hit = job.generated is not None
         if cache_hit:
             generated = job.generated
         else:
-            rng = analysis_rng(job.root_entropy, job.pair, job.condition)
-            generated = np.asarray(job.sampler(job.condition, job.g_size, rng))
+            generated = draw_condition_samples(
+                job.sampler,
+                job.condition,
+                job.g_size,
+                root_entropy=job.root_entropy,
+                pair=job.pair,
+            )
         correct = job.correct_mask
         incorrect = ~correct
-        n_feats = len(job.feature_indices)
-        avg_cor = np.empty(n_feats)
-        avg_inc = np.empty(n_feats)
-        for fi, ft in enumerate(job.feature_indices):
-            distr = ParzenWindow(job.h).fit(generated[:, ft])
+        windows = fit_feature_windows(generated, job.h, job.feature_indices)
+        avg_cor = np.empty(len(windows))
+        avg_inc = np.empty(len(windows))
+        for fi, (ft, distr) in enumerate(zip(job.feature_indices, windows)):
             likes = distr.likelihood(
                 job.test_features[:, ft], chunk_size=job.chunk_size
             )

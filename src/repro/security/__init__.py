@@ -17,11 +17,10 @@ from repro.security.engine import (
 from repro.security.likelihood import (
     choose_analysis_feature,
     LikelihoodResult,
-    likelihood_h_sweep,
     RepeatedLikelihoodResult,
     repeated_likelihood_analysis,
-    security_likelihood_analysis,
 )
+from repro.security.model import ConditionalParzenModel
 from repro.security.confidentiality import (
     LeakageReport,
     SideChannelAttacker,
@@ -69,6 +68,7 @@ __all__ = [
     "AcousticMasking",
     "AnalysisTarget",
     "CombinedDefense",
+    "ConditionalParzenModel",
     "Defense",
     "DefenseReport",
     "FeedRateDithering",
@@ -98,7 +98,6 @@ __all__ = [
     "generator_leakage_profile",
     "histogram_mutual_information",
     "leakage_vs_training_data",
-    "likelihood_h_sweep",
     "motor_stall_attack",
     "resolve_chunk_size",
     "roc_auc",
@@ -106,7 +105,6 @@ __all__ = [
     "run_security_analysis",
     "security_analysis",
     "security_analysis_h_sweep",
-    "security_likelihood_analysis",
     "silverman_bandwidth",
     "viterbi_decode",
 ]

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DataError, NotFittedError
+from repro.errors import ConfigurationError, NotFittedError
 from repro.flows.dataset import FlowPairDataset
-from repro.security.likelihood import _as_sampler
-from repro.security.parzen import ParzenWindow
+from repro.security.model import ConditionalParzenModel
 from repro.utils.rng import as_rng
 from repro.utils.tables import format_table
 
@@ -78,10 +77,11 @@ class LeakageReport:
 class SideChannelAttacker:
     """Maximum-likelihood condition inference from emission features.
 
-    The attacker trains per-condition Parzen models on samples drawn
-    from the CGAN generator (their learned model of the printer), then
-    classifies observed emissions by the highest summed log-likelihood
-    over the selected feature indices.
+    The attacker fits the shared conditional emission model
+    (:class:`~repro.security.model.ConditionalParzenModel`: per-condition,
+    per-feature Parzen windows on CGAN draws, the factorized structure
+    Algorithm 3 uses), then classifies observed emissions by the highest
+    summed log-likelihood over the selected feature indices.
 
     Parameters
     ----------
@@ -96,6 +96,9 @@ class SideChannelAttacker:
         Feature columns used for inference (``None`` = all).
     g_size:
         Generated samples per condition for the attacker's models.
+    seed:
+        Integer root of the derived per-condition draws (``None`` =
+        fresh entropy); a ``Generator`` raises ``ConfigurationError``.
     """
 
     def __init__(
@@ -108,68 +111,37 @@ class SideChannelAttacker:
         g_size: int = 200,
         seed=None,
     ):
-        if h <= 0:
-            raise ConfigurationError(f"h must be > 0, got {h}")
-        if g_size <= 0:
-            raise ConfigurationError(f"g_size must be > 0, got {g_size}")
-        self._sample = _as_sampler(generator_sampler)
-        self.conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
-        if self.conditions.shape[0] < 2:
-            raise ConfigurationError("attacker needs at least 2 conditions")
-        self.h = float(h)
-        self.feature_indices = (
-            None if feature_indices is None else np.asarray(feature_indices, dtype=int)
+        self.model = ConditionalParzenModel(
+            generator_sampler,
+            conditions,
+            h=h,
+            g_size=g_size,
+            feature_indices=feature_indices,
+            root_entropy=seed,
         )
-        self.g_size = int(g_size)
-        self._seed = seed
-        self._models = None
+        if self.model.n_conditions < 2:
+            raise ConfigurationError("attacker needs at least 2 conditions")
+        self.conditions = self.model.conditions
 
     @property
     def fitted(self) -> bool:
-        return self._models is not None
+        return self.model.fitted
 
     def fit(self) -> "SideChannelAttacker":
-        """Draw generator samples and fit per-condition, per-feature
-        1-D Parzen models (the same factorized structure Algorithm 3
-        uses)."""
-        rng = as_rng(self._seed)
-        self._models = []
-        for cond in self.conditions:
-            generated = self._sample(cond, self.g_size, rng)
-            if self.feature_indices is not None:
-                generated = generated[:, self.feature_indices]
-            per_feature = [
-                ParzenWindow(self.h).fit(generated[:, d])
-                for d in range(generated.shape[1])
-            ]
-            self._models.append(per_feature)
+        """Draw generator samples and fit the per-condition models."""
+        self.model.fit()
         return self
 
     def log_likelihoods(self, features) -> np.ndarray:
         """Per-condition log-likelihood matrix ``(n_samples, n_conds)``.
 
-        Feature dimensions are treated independently (the same
-        per-feature Parzen structure as Algorithm 3): the log-likelihood
-        of a sample is the sum over selected features.
+        Feature dimensions are treated independently: the log-likelihood
+        of a sample is the sum over selected features of the per-feature
+        log densities (the product of the marginals).
         """
         if not self.fitted:
             raise NotFittedError("SideChannelAttacker.fit() not called")
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        if self.feature_indices is not None:
-            features = features[:, self.feature_indices]
-        out = np.empty((features.shape[0], len(self._models)))
-        for ci, per_feature in enumerate(self._models):
-            if features.shape[1] != len(per_feature):
-                raise DataError(
-                    f"features have {features.shape[1]} columns, attacker "
-                    f"models expect {len(per_feature)}"
-                )
-            # Sum of per-dimension log densities == product of marginals.
-            total = np.zeros(features.shape[0])
-            for d, distr in enumerate(per_feature):
-                total += distr.score_samples(features[:, d])
-            out[:, ci] = total
-        return out
+        return self.model.log_likelihoods(features)
 
     def infer(self, features) -> np.ndarray:
         """Most likely condition index per sample."""
@@ -179,28 +151,13 @@ class SideChannelAttacker:
         """Attack every test sample and compile a :class:`LeakageReport`."""
         if not self.fitted:
             self.fit()
-        cond_index = {tuple(c): i for i, c in enumerate(self.conditions)}
-        true_idx = []
-        for row in test_set.conditions:
-            key = tuple(row)
-            if key not in cond_index:
-                raise DataError(
-                    f"test sample labeled {list(key)} is outside the attacker's "
-                    "condition set"
-                )
-            true_idx.append(cond_index[key])
-        true_idx = np.asarray(true_idx)
+        true_idx = self.model.condition_indices(test_set.conditions)
         pred_idx = self.infer(test_set.features)
         n = len(self.conditions)
         confusion = np.zeros((n, n), dtype=int)
-        for t, p in zip(true_idx, pred_idx):
-            confusion[t, p] += 1
-        with np.errstate(invalid="ignore", divide="ignore"):
-            recall = np.where(
-                confusion.sum(axis=1) > 0,
-                np.diag(confusion) / np.maximum(confusion.sum(axis=1), 1),
-                0.0,
-            )
+        np.add.at(confusion, (true_idx, pred_idx), 1)
+        totals = confusion.sum(axis=1)
+        recall = np.where(totals > 0, np.diag(confusion) / np.maximum(totals, 1), 0.0)
         accuracy = float((true_idx == pred_idx).mean())
         return LeakageReport(
             conditions=self.conditions,
@@ -230,6 +187,9 @@ def leakage_vs_training_data(
     """
     rng = as_rng(seed)
     train, test = dataset.split(test_fraction, seed=rng)
+    # One draw root for every fraction: the attackers differ only in
+    # the CGAN they sample, not in the generator noise.
+    root = int(rng.integers(0, 2**63 - 1))
     results = []
     for frac in fractions:
         if not 0.0 < frac <= 1.0:
@@ -242,7 +202,7 @@ def leakage_vs_training_data(
         cgan = make_cgan()
         cgan.train(subset, iterations=iterations, seed=rng)
         attacker = SideChannelAttacker(
-            cgan, test.unique_conditions(), h=h, seed=rng
+            cgan, test.unique_conditions(), h=h, seed=root
         ).fit()
         report = attacker.evaluate(test)
         results.append((float(frac), len(subset), report.accuracy))

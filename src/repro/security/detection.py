@@ -22,9 +22,7 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.flows.dataset import FlowPairDataset
-from repro.security.likelihood import _as_sampler
-from repro.security.parzen import ParzenWindow
-from repro.utils.rng import as_rng
+from repro.security.model import ConditionalParzenModel
 
 
 @dataclass
@@ -93,6 +91,10 @@ def roc_auc(clean_scores: np.ndarray, attack_scores: np.ndarray) -> float:
 class EmissionAttackDetector:
     """Likelihood-ratio attack detector built on the CGAN generator.
 
+    Scores emissions with the shared conditional emission model
+    (:class:`~repro.security.model.ConditionalParzenModel`), the same
+    model the streaming monitor scores windows with.
+
     Parameters
     ----------
     generator_sampler:
@@ -105,6 +107,9 @@ class EmissionAttackDetector:
         Feature columns used for scoring (``None`` = all).
     g_size:
         Generator samples per condition.
+    seed:
+        Integer root of the derived per-condition draws (``None`` =
+        fresh entropy); a ``Generator`` raises ``ConfigurationError``.
     """
 
     def __init__(
@@ -117,60 +122,39 @@ class EmissionAttackDetector:
         g_size: int = 200,
         seed=None,
     ):
-        if h <= 0:
-            raise ConfigurationError(f"h must be > 0, got {h}")
-        self._sample = _as_sampler(generator_sampler)
-        self.conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
-        self.h = float(h)
-        self.feature_indices = (
-            None if feature_indices is None else np.asarray(feature_indices, dtype=int)
+        self.model = ConditionalParzenModel(
+            generator_sampler,
+            conditions,
+            h=h,
+            g_size=g_size,
+            feature_indices=feature_indices,
+            root_entropy=seed,
         )
-        self.g_size = int(g_size)
-        self._seed = seed
-        self._models = None
+        self.conditions = self.model.conditions
         self.threshold = None
 
     def fit(self) -> "EmissionAttackDetector":
         """Fit per-condition, per-feature Parzen models from G samples."""
-        rng = as_rng(self._seed)
-        self._models = {}
-        for cond in self.conditions:
-            generated = self._sample(cond, self.g_size, rng)
-            if self.feature_indices is not None:
-                generated = generated[:, self.feature_indices]
-            self._models[tuple(cond)] = [
-                ParzenWindow(self.h).fit(generated[:, d])
-                for d in range(generated.shape[1])
-            ]
+        self.model.fit()
         return self
 
     def score(self, features, claimed_conditions) -> np.ndarray:
         """Per-sample mean log-likelihood under the *claimed* condition.
 
         Higher = emission consistent with the claim (normal); lower =
-        suspicious.
+        suspicious.  A single claim row is broadcast to every sample.
         """
-        if self._models is None:
+        if not self.model.fitted:
             raise NotFittedError("EmissionAttackDetector.fit() not called")
         features = np.atleast_2d(np.asarray(features, dtype=float))
         claimed = np.atleast_2d(np.asarray(claimed_conditions, dtype=float))
         if claimed.shape[0] == 1 and features.shape[0] > 1:
-            claimed = np.tile(claimed, (features.shape[0], 1))
+            claimed = np.broadcast_to(claimed, (features.shape[0], claimed.shape[1]))
         if features.shape[0] != claimed.shape[0]:
             raise DataError("features and claimed_conditions are misaligned")
-        if self.feature_indices is not None:
-            features = features[:, self.feature_indices]
-        scores = np.empty(features.shape[0])
-        for i, (x, c) in enumerate(zip(features, claimed)):
-            key = tuple(c)
-            if key not in self._models:
-                raise DataError(f"claimed condition {list(key)} was never fitted")
-            per_feature = self._models[key]
-            total = 0.0
-            for d, distr in enumerate(per_feature):
-                total += float(distr.score_samples(np.array([x[d]]))[0])
-            scores[i] = total / len(per_feature)
-        return scores
+        return self.model.score_claims(
+            features, self.model.condition_indices(claimed)
+        )
 
     def calibrate(
         self, clean_set: FlowPairDataset, *, false_positive_rate: float = 0.05

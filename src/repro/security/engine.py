@@ -1,11 +1,10 @@
 """Parallel, batched security-analysis engine (Algorithm 3 at scale).
 
-:func:`repro.security.likelihood.security_likelihood_analysis` is the
-paper-faithful serial reference: one Python loop over conditions and
-features, one RNG threaded through the whole run.  This module is the
-production path: every (pair, condition) cell of the likelihood table
-becomes an independent :class:`~repro.runtime.analysis.AnalysisJob`
-fanned out over the :mod:`repro.runtime.executors`, with
+This module is the one implementation of Algorithm 3 (the paper-literal
+loop survives only as the hand-computed oracle in the engine tests).
+Every (pair, condition) cell of the likelihood table becomes an
+independent :class:`~repro.runtime.analysis.AnalysisJob` fanned out
+over the :mod:`repro.runtime.executors`, with
 
 * **blocked scoring** — all test points are evaluated against all
   Parzen kernels in chunked matrix operations
@@ -41,7 +40,6 @@ from repro.flows.dataset import FlowPairDataset
 from repro.runtime.analysis import (
     AnalysisJob,
     ConditionSampleCache,
-    _SamplerRef,
     run_analysis_job,
 )
 from repro.runtime.events import (
@@ -52,27 +50,8 @@ from repro.runtime.events import (
 )
 from repro.runtime.executors import get_executor
 from repro.security.likelihood import LikelihoodResult
-from repro.utils.rng import fresh_entropy
-
-
-def as_picklable_sampler(generator_sampler):
-    """Normalize into a picklable ``(condition, n, rng) -> samples``.
-
-    Unlike :func:`repro.security.likelihood._as_sampler` (which wraps a
-    CGAN in a closure), the returned object survives pickling, so jobs
-    carrying it can run on the process executor.
-    """
-    from repro.gan.cgan import ConditionalGAN  # Local import to avoid a cycle.
-
-    if isinstance(generator_sampler, ConditionalGAN):
-        generator_sampler.require_trained()
-        return _SamplerRef(generator_sampler)
-    if callable(generator_sampler):
-        return generator_sampler
-    raise ConfigurationError(
-        "generator_sampler must be a trained ConditionalGAN or a callable "
-        "(condition, n, rng) -> samples"
-    )
+from repro.security.model import DEFAULT_PAIR, as_picklable_sampler
+from repro.utils.rng import as_root_entropy
 
 
 @dataclass
@@ -114,7 +93,7 @@ class _PreparedTarget:
 
 
 def _prepare_target(target: AnalysisTarget) -> _PreparedTarget:
-    """Validate one target the same way the serial reference does."""
+    """Validate one target: conditions, feature indices, test coverage."""
     test_set = target.test_set
     conditions = target.conditions
     if conditions is None:
@@ -171,7 +150,8 @@ def run_security_analysis(
     root_entropy:
         Integer seed root for the per-(pair, condition) RNG derivation;
         ``None`` draws fresh entropy (still deterministic *within* the
-        run, but not reproducible across runs).
+        run, but not reproducible across runs).  A ``Generator`` raises
+        :class:`~repro.errors.ConfigurationError`.
     executor / workers:
         Fan-out selection, as in :meth:`GANSec.train_models`: ``None``
         picks serial for 0/1 workers and the process executor otherwise.
@@ -201,9 +181,7 @@ def run_security_analysis(
     prepared = [_prepare_target(t) for t in targets]
     if not prepared:
         return {}
-    if root_entropy is None:
-        root_entropy = fresh_entropy()
-    root_entropy = int(root_entropy)
+    root_entropy = as_root_entropy(root_entropy)
     bus = bus if bus is not None else EventBus()
 
     jobs: list = []
@@ -324,21 +302,18 @@ def security_analysis(
     h: float = 0.2,
     g_size: int = 200,
     root_entropy: int | None = None,
-    pair: str = "analysis",
+    pair: str = DEFAULT_PAIR,
     executor=None,
     workers: int | None = None,
     bus: EventBus | None = None,
     chunk_size: int | None = None,
     cache: ConditionSampleCache | None = None,
 ) -> LikelihoodResult:
-    """Single-pair convenience wrapper around :func:`run_security_analysis`.
+    """Algorithm 3 for one flow pair (see :func:`run_security_analysis`).
 
-    The batched, parallel drop-in for
-    :func:`~repro.security.likelihood.security_likelihood_analysis`.
-    Note the seed contract differs deliberately: *root_entropy* must be
-    an integer (or ``None``), never a shared ``Generator`` — schedule
-    independence requires each (pair, condition) stream to be derived,
-    not consumed in sequence.
+    *root_entropy* must be an integer (or ``None``), never a shared
+    ``Generator``: schedule independence requires each (pair,
+    condition) stream to be derived, not consumed in sequence.
     """
     target = AnalysisTarget(
         key=pair,

@@ -18,6 +18,10 @@ a sharp, condition-specific emission model — i.e. the physical emission
 *leaks* the cyber condition (confidentiality risk), and dually the same
 model can *detect* integrity/availability attacks that change the
 condition-emission relationship.
+
+The computation itself lives in :mod:`repro.security.engine`; this
+module holds its result types and the analyses built on it (repeated
+runs with error bars, single-feature selection).
 """
 
 from __future__ import annotations
@@ -26,10 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DataError
+from repro.errors import ConfigurationError
 from repro.flows.dataset import FlowPairDataset
-from repro.security.parzen import ParzenWindow
-from repro.utils.rng import as_rng, spawn_rngs
+from repro.utils.rng import as_root_entropy, stable_entropy
 from repro.utils.tables import format_table
 
 
@@ -92,107 +95,6 @@ class LikelihoodResult:
         )
 
 
-def security_likelihood_analysis(
-    generator_sampler,
-    test_set: FlowPairDataset,
-    *,
-    conditions=None,
-    feature_indices=None,
-    h: float = 0.2,
-    g_size: int = 200,
-    seed=None,
-) -> LikelihoodResult:
-    """Run Algorithm 3.
-
-    Parameters
-    ----------
-    generator_sampler:
-        Either a trained :class:`~repro.gan.cgan.ConditionalGAN` or any
-        callable ``(condition_vector, n, seed) -> (n, d) samples`` —
-        Algorithm 3 only needs ``G(Z | C_i)``.
-    test_set:
-        Held-out labeled observations ``X_test``.
-    conditions:
-        Condition vectors to analyze; defaults to the distinct
-        conditions present in *test_set*.
-    feature_indices:
-        ``FtIndices``; defaults to *all* feature columns.
-    h:
-        Parzen window width.
-    g_size:
-        ``GSize`` — generated samples per condition.
-    """
-    if h <= 0:
-        raise ConfigurationError(f"h must be > 0, got {h}")
-    if g_size <= 0:
-        raise ConfigurationError(f"g_size must be > 0, got {g_size}")
-    sample = _as_sampler(generator_sampler)
-    rng = as_rng(seed)
-
-    if conditions is None:
-        conditions = test_set.unique_conditions()
-    conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
-    if feature_indices is None:
-        feature_indices = np.arange(test_set.feature_dim)
-    feature_indices = np.asarray(feature_indices, dtype=int)
-    if feature_indices.size == 0:
-        raise ConfigurationError("feature_indices is empty")
-    if np.any(feature_indices < 0) or np.any(feature_indices >= test_set.feature_dim):
-        raise ConfigurationError(
-            f"feature indices out of range [0, {test_set.feature_dim})"
-        )
-
-    n_conds = conditions.shape[0]
-    n_feats = feature_indices.size
-    avg_cor = np.zeros((n_conds, n_feats))
-    avg_inc = np.zeros((n_conds, n_feats))
-
-    for ci, cond in enumerate(conditions):
-        # Line 6: X_G = GSize samples from G(Z | C_i).
-        generated = sample(cond, g_size, rng)
-        correct_mask = test_set.mask_for_condition(cond)
-        if not correct_mask.any():
-            raise DataError(
-                f"test set has no samples labeled {cond.tolist()}; "
-                "Algorithm 3 needs test data for every analyzed condition"
-            )
-        for fi, ft in enumerate(feature_indices):
-            # Line 8: 1-D Parzen window on the generated feature values.
-            distr = ParzenWindow(h).fit(generated[:, ft])
-            # Lines 9-14: scaled likelihood of every test sample.
-            likes = distr.likelihood(test_set.features[:, ft])
-            cor = likes[correct_mask]
-            inc = likes[~correct_mask]
-            avg_cor[ci, fi] = cor.mean()
-            avg_inc[ci, fi] = inc.mean() if inc.size else 0.0
-    return LikelihoodResult(
-        conditions=conditions,
-        feature_indices=feature_indices,
-        avg_correct=avg_cor,
-        avg_incorrect=avg_inc,
-        h=h,
-    )
-
-
-def likelihood_h_sweep(
-    generator_sampler,
-    test_set: FlowPairDataset,
-    *,
-    h_values=(0.2, 0.4, 0.6, 0.8, 1.0),
-    **kwargs,
-) -> dict:
-    """Run Algorithm 3 for several Parzen widths (the Table I sweep).
-
-    Returns ``{h: LikelihoodResult}``.
-    """
-    out = {}
-    for h in h_values:
-        out[float(h)] = security_likelihood_analysis(
-            generator_sampler, test_set, h=float(h), **kwargs
-        )
-    return out
-
-
 @dataclass
 class RepeatedLikelihoodResult:
     """Mean/std of Algorithm 3 outputs over repeated runs.
@@ -245,18 +147,24 @@ def repeated_likelihood_analysis(
 ) -> RepeatedLikelihoodResult:
     """Run Algorithm 3 *n_repeats* times with fresh generator noise.
 
-    Accepts the same keyword arguments as
-    :func:`security_likelihood_analysis`; each repeat derives its own
-    seed from *seed*, so results carry honest Monte-Carlo error bars.
+    Accepts the keyword arguments of
+    :func:`~repro.security.engine.security_analysis`; repeat ``r`` runs
+    under its own root derived from the integer root *seed* and ``r``,
+    so results carry honest Monte-Carlo error bars.
     """
+    from repro.security.engine import security_analysis
+
     if n_repeats < 2:
         raise ConfigurationError(f"n_repeats must be >= 2, got {n_repeats}")
-    child_rngs = spawn_rngs(seed, n_repeats)
+    root = as_root_entropy(seed)
     cors, incs = [], []
     last = None
-    for rng in child_rngs:
-        last = security_likelihood_analysis(
-            generator_sampler, test_set, seed=rng, **kwargs
+    for r in range(n_repeats):
+        last = security_analysis(
+            generator_sampler,
+            test_set,
+            root_entropy=stable_entropy(root, "repeat", r),
+            **kwargs,
         )
         cors.append(last.avg_correct)
         incs.append(last.avg_incorrect)
@@ -303,9 +211,12 @@ def choose_analysis_feature(
     candidates:
         Feature indices to score; defaults to the 10 highest-MI columns
         for ``"balanced"`` and to all columns for ``"peak"``.
+    seed:
+        Integer root of the engine's derived draws (``None`` = fresh).
 
     Returns the chosen feature index.
     """
+    from repro.security.engine import security_analysis
     from repro.security.mutual_information import feature_leakage_profile
 
     if objective not in ("balanced", "peak"):
@@ -321,13 +232,13 @@ def choose_analysis_feature(
     candidates = np.asarray(candidates, dtype=int)
     if candidates.size == 0:
         raise ConfigurationError("no candidate features given")
-    result = security_likelihood_analysis(
+    result = security_analysis(
         generator_sampler,
         calibration_set,
         feature_indices=candidates,
         h=h,
         g_size=g_size,
-        seed=seed,
+        root_entropy=seed,
     )
     margins = result.margin()  # (n_conds, n_candidates)
     if objective == "peak":
@@ -338,22 +249,3 @@ def choose_analysis_feature(
     # Mean margin plus the minimum (so one hopeless condition penalizes).
     score = margins.mean(axis=0) + margins.min(axis=0)
     return int(candidates[int(np.argmax(score))])
-
-
-def _as_sampler(generator_sampler):
-    """Normalize the generator argument into ``(cond, n, rng) -> samples``."""
-    from repro.gan.cgan import ConditionalGAN  # Local import to avoid a cycle.
-
-    if isinstance(generator_sampler, ConditionalGAN):
-        generator_sampler.require_trained()
-
-        def sample(cond, n, rng):
-            return generator_sampler.generate_for_condition(cond, n, seed=rng)
-
-        return sample
-    if callable(generator_sampler):
-        return generator_sampler
-    raise ConfigurationError(
-        "generator_sampler must be a trained ConditionalGAN or a callable "
-        "(condition, n, rng) -> samples"
-    )

@@ -15,8 +15,12 @@ import numpy as np
 
 from repro.errors import ConfigurationError, DataError
 from repro.flows.dataset import FlowPairDataset
-from repro.security.likelihood import _as_sampler
-from repro.utils.rng import as_rng
+from repro.security.model import (
+    DEFAULT_PAIR,
+    as_picklable_sampler,
+    draw_condition_samples,
+)
+from repro.utils.rng import as_root_entropy
 
 
 def histogram_mutual_information(
@@ -88,19 +92,22 @@ def generator_leakage_profile(
 
     Comparing this with :func:`feature_leakage_profile` on real data
     shows how faithfully the CGAN reproduces the leakage structure —
-    the property GAN-Sec's design-time analysis relies on.
+    the property GAN-Sec's design-time analysis relies on.  *seed* is
+    the integer root of the derived per-condition draws (``None`` =
+    fresh entropy), as for every other ``G(Z | c)`` consumer.
     """
-    sample = _as_sampler(generator_sampler)
-    rng = as_rng(seed)
+    sampler = as_picklable_sampler(generator_sampler)
+    root = as_root_entropy(seed)
     conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
-    features = []
-    labels = []
-    for ci, cond in enumerate(conditions):
-        gen = sample(cond, n_per_condition, rng)
-        features.append(gen)
-        labels.extend([ci] * n_per_condition)
-    features = np.vstack(features)
-    labels = np.asarray(labels)
+    features = np.vstack(
+        [
+            draw_condition_samples(
+                sampler, cond, n_per_condition, root_entropy=root, pair=DEFAULT_PAIR
+            )
+            for cond in conditions
+        ]
+    )
+    labels = np.repeat(np.arange(len(conditions)), n_per_condition)
     return np.array(
         [
             histogram_mutual_information(features[:, d], labels, bins=bins)

@@ -14,11 +14,13 @@ import numpy as np
 
 from repro.flows.dataset import FlowPairDataset
 from repro.security.confidentiality import LeakageReport, SideChannelAttacker
-from repro.security.likelihood import LikelihoodResult, security_likelihood_analysis
+from repro.security.engine import security_analysis
+from repro.security.likelihood import LikelihoodResult
 from repro.security.mutual_information import (
     condition_entropy_bits,
     feature_leakage_profile,
 )
+from repro.utils.rng import as_root_entropy
 from repro.utils.tables import format_table
 
 
@@ -100,21 +102,23 @@ def build_security_report(
     against an axis-swap integrity attack synthesized from the test set
     (needs at least two distinct conditions).
 
-    *likelihood* injects a precomputed Algorithm 3 result — the parallel
-    engine (:mod:`repro.security.engine`) computes the likelihood tables
-    for a whole batch of pairs in one fan-out and hands each pair's
-    table in here, so the report builder does not redo the scoring.
+    *seed* is the integer root of every generator draw in the report
+    (``None`` = fresh entropy).  *likelihood* injects a precomputed
+    Algorithm 3 result — :meth:`~repro.pipeline.gansec.GANSec.analyze`
+    computes the tables for a whole batch of pairs in one engine fan-out
+    and hands each pair's table in here; otherwise the engine runs here.
     """
+    seed = as_root_entropy(seed)
     conditions = test_set.unique_conditions()
     if likelihood is None:
-        likelihood = security_likelihood_analysis(
+        likelihood = security_analysis(
             cgan,
             test_set,
             conditions=conditions,
             feature_indices=feature_indices,
             h=h,
             g_size=g_size,
-            seed=seed,
+            root_entropy=seed,
         )
     attacker = SideChannelAttacker(
         cgan,

@@ -1,16 +1,12 @@
 """Batched per-window likelihood scoring for the streaming detector.
 
-The offline :class:`~repro.security.detection.EmissionAttackDetector`
-scores one sample at a time with per-feature Python loops.  The
-streaming engine scores *batches* of windows against the same
-per-condition, per-feature Parzen models through
-:meth:`~repro.security.parzen.ParzenWindow.score_batch`, with generator
-draws routed through the engine's
-:class:`~repro.runtime.analysis.ConditionSampleCache` and the
-``(root_entropy, pair, condition)``-derived RNG streams — so a
-streaming scorer and an offline detector built from the same
-``(sampler, conditions, h, g_size, root_entropy)`` are fitting exactly
-the same densities.
+:class:`StreamingScorer` is the shared
+:class:`~repro.security.model.ConditionalParzenModel` with the streaming
+defaults (root 0, pair ``"stream"``): the offline
+:class:`~repro.security.detection.EmissionAttackDetector` and a
+streaming scorer built from the same
+``(sampler, conditions, h, g_size, root_entropy, pair)`` fit exactly
+the same densities and score exactly the same numbers.
 
 Scoring is row-independent: ``score_windows`` over any partition of a
 window batch is bitwise identical to one call over the whole batch
@@ -21,37 +17,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ConfigurationError, DataError, NotFittedError
-from repro.runtime.analysis import ConditionSampleCache, analysis_rng
-from repro.security.engine import as_picklable_sampler
-from repro.security.parzen import ParzenWindow
+from repro.security.model import ConditionalParzenModel
 
 
-class StreamingScorer:
+class StreamingScorer(ConditionalParzenModel):
     """Per-window mean log-likelihood under the *claimed* condition.
 
-    Parameters
-    ----------
-    sampler:
-        Trained CGAN or ``(condition, n, rng) -> samples`` callable
-        providing ``G(Z | c)``.
-    conditions:
-        ``(n_conditions, condition_dim)`` matrix of every condition the
-        G-code stream can legitimately claim; windows carry *indices*
-        into this matrix.
-    h / g_size:
-        Parzen window width and generator samples per condition.
-    feature_indices:
-        Feature columns used for scoring (``None`` = all).
-    root_entropy:
-        Integer seed root for the per-condition generator streams
-        (:func:`~repro.runtime.analysis.analysis_rng`), making fits
-        reproducible and cache-addressable.
-    pair:
-        Flow-pair label; part of the RNG derivation and cache key.
-    cache:
-        Optional :class:`~repro.runtime.analysis.ConditionSampleCache`
-        consulted for generated samples and refilled on miss.
+    Parameters are those of
+    :class:`~repro.security.model.ConditionalParzenModel`; *conditions*
+    lists every condition the G-code stream can legitimately claim, and
+    windows carry *indices* into it.
     """
 
     def __init__(
@@ -59,132 +34,22 @@ class StreamingScorer:
         sampler,
         conditions,
         *,
-        h: float = 0.2,
-        g_size: int = 200,
-        feature_indices=None,
         root_entropy: int = 0,
         pair: str = "stream",
-        cache: ConditionSampleCache | None = None,
+        **kwargs,
     ):
-        if h <= 0:
-            raise ConfigurationError(f"h must be > 0, got {h}")
-        if g_size <= 0:
-            raise ConfigurationError(f"g_size must be > 0, got {g_size}")
-        self._sample = as_picklable_sampler(sampler)
-        self.conditions = np.atleast_2d(np.asarray(conditions, dtype=float))
-        if self.conditions.shape[0] < 1:
-            raise ConfigurationError("need at least one condition")
-        self.h = float(h)
-        self.g_size = int(g_size)
-        self.feature_indices = (
-            None if feature_indices is None else np.asarray(feature_indices, dtype=int)
+        super().__init__(
+            sampler, conditions, root_entropy=root_entropy, pair=pair, **kwargs
         )
-        self.root_entropy = int(root_entropy)
-        self.pair = str(pair)
-        self.cache = cache
-        self._models = None  # list (per condition) of per-feature fits
-
-    @property
-    def fitted(self) -> bool:
-        return self._models is not None
-
-    @property
-    def n_conditions(self) -> int:
-        return self.conditions.shape[0]
-
-    def fit(self) -> "StreamingScorer":
-        """Fit per-condition, per-feature Parzen models from G samples.
-
-        Draws go through the sample cache when one is configured; the
-        per-condition RNG is a pure function of
-        ``(root_entropy, pair, condition)``, so a cache hit is
-        numerically indistinguishable from regeneration.
-        """
-        models = []
-        for cond in self.conditions:
-            generated = None
-            key = None
-            if self.cache is not None:
-                key = self.cache.key(self.pair, cond, self.g_size, self.root_entropy)
-                generated = self.cache.get(key)
-            if generated is None:
-                rng = analysis_rng(self.root_entropy, self.pair, cond)
-                generated = np.asarray(self._sample(cond, self.g_size, rng), dtype=float)
-                if self.cache is not None:
-                    self.cache.put(key, generated)
-            if generated.ndim != 2 or generated.shape[0] != self.g_size:
-                raise DataError(
-                    f"sampler returned shape {generated.shape}, expected "
-                    f"({self.g_size}, n_features)"
-                )
-            cols = (
-                generated[:, self.feature_indices]
-                if self.feature_indices is not None
-                else generated
-            )
-            models.append(
-                [ParzenWindow(self.h).fit(cols[:, d]) for d in range(cols.shape[1])]
-            )
-        self._models = models
-        return self
 
     def score_windows(
         self, features, claim_indices, *, chunk_size: int | None = None
     ) -> np.ndarray:
         """Mean per-feature log density of each window under its claim.
 
-        Parameters
-        ----------
-        features:
-            ``(n_windows, n_features)`` extracted (scaled) window
-            features.
-        claim_indices:
-            Per-window condition *index* into :attr:`conditions` — the
-            condition the G-code stream claims was executing.
-        chunk_size:
-            Optional Parzen scoring block size (does not affect
-            results).
-
-        Higher = emission consistent with the claim (normal); lower =
-        suspicious.  Rows are scored independently: any batching of
-        windows produces bitwise-identical scores.
+        *features* are ``(n_windows, n_features)`` extracted (scaled)
+        window features; *claim_indices* the per-window condition index
+        the G-code stream claims was executing.  Higher = emission
+        consistent with the claim (normal); lower = suspicious.
         """
-        if not self.fitted:
-            raise NotFittedError("StreamingScorer.fit() not called")
-        features = np.atleast_2d(np.asarray(features, dtype=float))
-        claims = np.asarray(claim_indices, dtype=int).ravel()
-        if features.shape[0] != claims.shape[0]:
-            raise DataError(
-                f"{features.shape[0]} windows but {claims.shape[0]} claims"
-            )
-        if claims.size and (claims.min() < 0 or claims.max() >= self.n_conditions):
-            raise DataError(
-                f"claim indices must be in [0, {self.n_conditions}), got "
-                f"range [{claims.min()}, {claims.max()}]"
-            )
-        if self.feature_indices is not None:
-            features = features[:, self.feature_indices]
-        n_feats = features.shape[1]
-        scores = np.empty(features.shape[0], dtype=float)
-        for ci in range(self.n_conditions):
-            mask = claims == ci
-            if not mask.any():
-                continue
-            block = features[mask]
-            per_feature = self._models[ci]
-            if len(per_feature) != n_feats:
-                raise DataError(
-                    f"windows have {n_feats} features, models fitted on "
-                    f"{len(per_feature)}"
-                )
-            total = np.zeros(block.shape[0], dtype=float)
-            for d, distr in enumerate(per_feature):
-                total += distr.score_batch(block[:, d], chunk_size=chunk_size)
-            scores[mask] = total / n_feats
-        return scores
-
-    def __repr__(self):
-        return (
-            f"StreamingScorer(pair={self.pair!r}, conditions={self.n_conditions}, "
-            f"h={self.h}, g_size={self.g_size}, fitted={self.fitted})"
-        )
+        return self.score_claims(features, claim_indices, chunk_size=chunk_size)

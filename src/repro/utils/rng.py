@@ -12,6 +12,8 @@ import hashlib
 
 import numpy as np
 
+from repro.errors import ConfigurationError
+
 SeedLike = "int | None | np.random.Generator | np.random.SeedSequence"
 
 
@@ -53,6 +55,23 @@ def spawn_rngs(seed, n: int) -> list:
 def fresh_entropy() -> int:
     """A 128-bit integer drawn from OS entropy (for unseeded pipelines)."""
     return int(np.random.SeedSequence().entropy)
+
+
+def as_root_entropy(root) -> int:
+    """Validate a seed root for the derived-stream contract.
+
+    ``None`` draws fresh entropy; an integer is used as is.  A shared
+    ``Generator`` (or anything else) is rejected: derived streams must
+    be pure functions of an integer root, never consumed in sequence.
+    """
+    if root is None:
+        return fresh_entropy()
+    if isinstance(root, (int, np.integer)):
+        return int(root)
+    raise ConfigurationError(
+        f"seed root must be an int or None, got {type(root).__name__}; "
+        "derived RNG streams cannot consume a shared Generator"
+    )
 
 
 def stable_entropy(*tokens) -> int:

@@ -5,7 +5,8 @@ CGAN) are session-scoped: the printer simulation and GAN training run
 once and are reused by every test that needs realistic data.
 
 The trained CGAN is additionally cached on disk (under pytest's cache
-directory) behind a key derived from the training data, the
+directory, or a session temporary directory without the cache plugin)
+behind a key derived from the training data, the
 hyperparameters, and the training source code — so repeated local runs
 and CI re-runs skip the ~20 s of GAN training entirely.  Any change to
 the dataset, the trainer, or the numeric kernels changes the key and
@@ -61,19 +62,25 @@ def _trained_cgan_cache_key(train: FlowPairDataset) -> str:
 
 
 @pytest.fixture(scope="session")
-def trained_cgan(case_split, request):
+def trained_cgan(case_split, request, tmp_path_factory):
     """A CGAN trained on the case-study split, cached on disk by key.
 
     Weights round-trip exactly through ``save_cgan``/``load_cgan``
     (float64 ``.npz``), and every test that samples from the fixture
     passes an explicit seed, so a cache hit is observationally
-    identical to a fresh training run.
+    identical to a fresh training run.  With the cache plugin disabled
+    (``-p no:cacheprovider``) the model is trained into a session
+    temporary directory instead.
     """
     from repro.gan.serialization import load_cgan, save_cgan
 
     train, _test = case_split
-    cache_root = request.config.cache.mkdir("gansec-trained-cgan")
-    model_dir = Path(cache_root) / _trained_cgan_cache_key(train)
+    cache = getattr(request.config, "cache", None)
+    if cache is not None:
+        cache_root = Path(cache.mkdir("gansec-trained-cgan"))
+    else:
+        cache_root = tmp_path_factory.mktemp("gansec-trained-cgan")
+    model_dir = cache_root / _trained_cgan_cache_key(train)
     if (model_dir / "cgan.json").exists():
         try:
             return load_cgan(model_dir)

@@ -19,7 +19,7 @@ from repro.security import (
     EmissionAttackDetector,
     SideChannelAttacker,
     axis_swap_attack,
-    security_likelihood_analysis,
+    security_analysis,
 )
 
 
@@ -40,8 +40,8 @@ class TestPaperStory:
 
     def test_algorithm3_margin_positive_on_average(self, trained_cgan, case_split):
         _train, test = case_split
-        res = security_likelihood_analysis(
-            trained_cgan, test, h=0.2, g_size=100, seed=0
+        res = security_analysis(
+            trained_cgan, test, h=0.2, g_size=100, root_entropy=0
         )
         # Averaged over all features and conditions, correct likelihood
         # exceeds incorrect likelihood: the generator learned the

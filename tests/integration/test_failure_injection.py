@@ -15,7 +15,7 @@ from repro.gan import ConditionalGAN
 from repro.graph import CPPSArchitecture, SubSystem, cyber, generate
 from repro.manufacturing import GCodeProgram, Printer3D, build_dataset
 from repro.manufacturing.traces import RecordedSegment
-from repro.security import security_likelihood_analysis
+from repro.security import security_analysis
 
 
 class TestCorruptedPrograms:
@@ -73,7 +73,7 @@ class TestModelMisuse:
         from repro.errors import NotFittedError
 
         with pytest.raises(NotFittedError):
-            security_likelihood_analysis(cgan, toy_dataset, h=0.2)
+            security_analysis(cgan, toy_dataset, h=0.2)
 
     def test_training_on_empty_features_impossible(self):
         with pytest.raises(DataError):

@@ -12,7 +12,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.manufacturing import GCODE_FLOW, printer_architecture
-from repro.pipeline import CGANConfig, GANSec, GANSecConfig
+from repro.pipeline import CGANConfig, FlowPairKey, GANSec, GANSecConfig
 from repro.runtime.events import AnalysisCompleted, EventBus
 
 H_SWEEP = (0.2, 0.4, 0.8)
@@ -66,3 +66,44 @@ class TestCapacityConfig:
         for (c_cor, c_inc), (t_cor, t_inc) in zip(cached, thrashed):
             np.testing.assert_array_equal(c_cor, t_cor)
             np.testing.assert_array_equal(c_inc, t_inc)
+
+
+class TestModelReplacement:
+    """Cached draws belong to the model that made them, not to the pair."""
+
+    @staticmethod
+    def _tables(pipe):
+        (report,) = pipe.analyze().values()
+        return report.likelihood.avg_correct, report.likelihood.avg_incorrect
+
+    @staticmethod
+    def _trained(case_dataset, iterations):
+        pipe = GANSec(
+            printer_architecture(),
+            GANSecConfig(cgan=CGANConfig(iterations=iterations), seed=0),
+        )
+        pipe.train_models({FlowPairKey("F18", GCODE_FLOW): case_dataset})
+        return pipe
+
+    def test_retrained_pair_analyzes_the_new_model(self, case_dataset):
+        pipe = self._trained(case_dataset, 150)
+        old = self._tables(pipe)
+        pipe.config.cgan.iterations = 60
+        pipe.train_models({FlowPairKey("F18", GCODE_FLOW): case_dataset})
+        retrained = self._tables(pipe)
+        expected = self._tables(self._trained(case_dataset, 60))
+        for got, want, stale in zip(retrained, expected, old):
+            np.testing.assert_array_equal(got, want)
+            assert not np.array_equal(got, stale)
+
+    def test_loaded_pair_analyzes_the_loaded_model(self, case_dataset, tmp_path):
+        other = self._trained(case_dataset, 60)
+        expected = self._tables(other)
+        other.save(tmp_path / "models")
+        pipe = self._trained(case_dataset, 150)
+        old = self._tables(pipe)
+        pipe.load(tmp_path / "models")
+        loaded = self._tables(pipe)
+        for got, want, stale in zip(loaded, expected, old):
+            np.testing.assert_array_equal(got, want)
+            assert not np.array_equal(got, stale)

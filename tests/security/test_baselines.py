@@ -11,7 +11,7 @@ from repro.security.baselines import (
     NearestCentroidAttacker,
 )
 from repro.security.confidentiality import SideChannelAttacker
-from repro.security.likelihood import security_likelihood_analysis
+from repro.security.engine import security_analysis
 
 
 def rng():
@@ -46,8 +46,8 @@ class TestEmpiricalSampler:
 
     def test_usable_in_algorithm3(self, toy_dataset):
         sampler = EmpiricalConditionalSampler(toy_dataset, jitter=0.02)
-        res = security_likelihood_analysis(
-            sampler, toy_dataset, h=0.1, g_size=100, seed=0
+        res = security_analysis(
+            sampler, toy_dataset, h=0.1, g_size=100, root_entropy=0
         )
         # A direct resampler of the data is a (near-)oracle: big margins.
         assert np.all(res.margin().mean(axis=1) > 0.05)

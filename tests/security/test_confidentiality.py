@@ -30,9 +30,18 @@ class TestAttacker:
         assert report.leakage_ratio > 1.9
 
     def test_blind_attacker_near_chance(self, toy_dataset):
-        attacker = SideChannelAttacker(blind, CONDS, h=0.1, seed=0).fit()
-        report = attacker.evaluate(toy_dataset)
-        assert 0.25 <= report.accuracy <= 0.75
+        # On clustered data a blind attacker labels each cluster wholesale,
+        # so one root's accuracy is ~0, ~0.5 or ~1 by luck.  Chance is a
+        # statement about the average: over N roots the mean accuracy has
+        # standard error <= 0.5 / sqrt(N) ~= 0.035 at N = 200, so the band
+        # below is at least +-4 standard errors around 1 / n_conditions.
+        accuracies = [
+            SideChannelAttacker(blind, CONDS, h=0.1, g_size=50, seed=root)
+            .evaluate(toy_dataset)
+            .accuracy
+            for root in range(200)
+        ]
+        assert 0.35 <= np.mean(accuracies) <= 0.65
 
     def test_confusion_matrix_totals(self, toy_dataset):
         attacker = SideChannelAttacker(oracle, CONDS, h=0.1, seed=0).fit()

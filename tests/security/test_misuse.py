@@ -1,9 +1,11 @@
 """Misuse-resistance of the public security entry points.
 
 Every public function/class in likelihood.py, detection.py, roc.py,
-confidentiality.py, and engine.py must fail loudly and specifically —
-NotFittedError for untrained models, ShapeError/DataError for
-misaligned inputs — rather than producing silently wrong tables.
+confidentiality.py, mutual_information.py, report.py and engine.py must
+fail loudly and specifically — NotFittedError for untrained models,
+ShapeError/DataError for misaligned inputs, ConfigurationError for a
+shared Generator where an integer seed root is expected — rather than
+producing silently wrong tables.
 """
 
 import numpy as np
@@ -19,13 +21,16 @@ from repro.gan import ConditionalGAN
 from repro.security import (
     EmissionAttackDetector,
     SideChannelAttacker,
+    build_security_report,
     choose_analysis_feature,
-    likelihood_h_sweep,
+    generator_leakage_profile,
+    repeated_likelihood_analysis,
     roc_auc,
     roc_curve,
     security_analysis,
-    security_likelihood_analysis,
+    security_analysis_h_sweep,
 )
+from repro.streaming import StreamingScorer
 
 CONDS = np.array([[1.0, 0.0], [0.0, 1.0]])
 
@@ -42,11 +47,11 @@ def untrained_cgan():
 class TestLikelihoodEntryPoints:
     def test_untrained_cgan_raises(self, untrained_cgan, toy_dataset):
         with pytest.raises(NotFittedError):
-            security_likelihood_analysis(untrained_cgan, toy_dataset)
+            repeated_likelihood_analysis(untrained_cgan, toy_dataset)
 
     def test_h_sweep_untrained_cgan_raises(self, untrained_cgan, toy_dataset):
         with pytest.raises(NotFittedError):
-            likelihood_h_sweep(untrained_cgan, toy_dataset)
+            security_analysis_h_sweep(untrained_cgan, toy_dataset)
 
     def test_choose_feature_untrained_cgan_raises(
         self, untrained_cgan, toy_dataset
@@ -60,7 +65,7 @@ class TestLikelihoodEntryPoints:
 
     def test_condition_shape_mismatch_raises(self, toy_dataset):
         with pytest.raises(ShapeError):
-            security_likelihood_analysis(
+            repeated_likelihood_analysis(
                 dummy_sampler, toy_dataset, conditions=[[1.0, 0.0, 0.0]]
             )
 
@@ -162,3 +167,46 @@ class TestConfidentialityEntryPoints:
         ).fit()
         with pytest.raises(DataError):
             attacker.evaluate(toy_dataset)
+
+
+def _generator_seeded_calls():
+    """Every ``G(Z | c)`` consumer, called with a Generator as its seed root."""
+    gen = np.random.default_rng(0)
+    return {
+        "security_analysis": lambda ds: security_analysis(
+            dummy_sampler, ds, root_entropy=gen
+        ),
+        "security_analysis_h_sweep": lambda ds: security_analysis_h_sweep(
+            dummy_sampler, ds, root_entropy=gen
+        ),
+        "repeated_likelihood_analysis": lambda ds: repeated_likelihood_analysis(
+            dummy_sampler, ds, seed=gen
+        ),
+        "choose_analysis_feature": lambda ds: choose_analysis_feature(
+            dummy_sampler, ds, seed=gen
+        ),
+        "SideChannelAttacker": lambda ds: SideChannelAttacker(
+            dummy_sampler, CONDS, seed=gen
+        ),
+        "EmissionAttackDetector": lambda ds: EmissionAttackDetector(
+            dummy_sampler, CONDS, seed=gen
+        ),
+        "StreamingScorer": lambda ds: StreamingScorer(
+            dummy_sampler, CONDS, root_entropy=gen
+        ),
+        "generator_leakage_profile": lambda ds: generator_leakage_profile(
+            dummy_sampler, CONDS, seed=gen
+        ),
+        "build_security_report": lambda ds: build_security_report(
+            dummy_sampler, ds, seed=gen
+        ),
+    }
+
+
+class TestSeedContract:
+    @pytest.mark.parametrize("entry_point", sorted(_generator_seeded_calls()))
+    def test_generator_as_seed_root_rejected(self, entry_point, toy_dataset):
+        # A shared Generator would be consumed in call order; the derived
+        # stream contract needs an integer root, so it must fail loudly.
+        with pytest.raises(ConfigurationError, match="int or None"):
+            _generator_seeded_calls()[entry_point](toy_dataset)
