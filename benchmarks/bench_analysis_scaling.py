@@ -98,7 +98,6 @@ def test_analysis_worker_sweep():
             g_size=G_SIZE,
             root_entropy=BENCH_SEED,
             workers=workers,
-            executor=executor,
         )
         elapsed = time.perf_counter() - start
         rows.append(

@@ -148,7 +148,7 @@ def test_parallel_training_worker_sweep():
         )
         executor = "serial" if workers == 1 else "process"
         start = time.perf_counter()
-        pipe.train_models(data, workers=workers, executor=executor)
+        pipe.train_models(data, workers=workers)
         elapsed = time.perf_counter() - start
         rows.append(
             {

@@ -449,7 +449,6 @@ def _run_experiment(args) -> int:
             n_moves_per_axis=args.moves,
             iterations=args.iterations,
             workers=args.workers,
-            executor=args.executor,
             analysis_workers=args.analysis_workers,
             chunk_size=args.chunk_size,
             trace=args.trace,
@@ -565,9 +564,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--iterations", type=int, default=2000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1,
-                   help="parallel pair-training workers")
-    p.add_argument("--executor", choices=("serial", "thread", "process"),
-                   help="pair-training executor (default: by worker count)")
+                   help="pair-training worker processes (1 = serial)")
     p.add_argument("--analysis-workers", type=int, default=1,
                    help="parallel (pair, condition) analysis workers")
     p.add_argument("--chunk-size", type=int, default=None,

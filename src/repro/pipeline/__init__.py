@@ -1,9 +1,9 @@
 """End-to-end GAN-Sec pipeline (the Figure 4 automatic model-generation
 method): Algorithm 1 → Algorithm 2 per flow pair → Algorithm 3 reports.
 
-Training fans out over the :mod:`repro.runtime` executors; pair
-identities are :class:`~repro.pipeline.pairs.FlowPairKey` values (plain
-tuples still work everywhere but are deprecated).
+Training and analysis fan out over the :mod:`repro.runtime` executors
+(the worker count alone picks serial or a process pool); pair
+identities are :class:`~repro.pipeline.pairs.FlowPairKey` values.
 
 Experiments execute as a :class:`~repro.pipeline.rungraph.RunGraph` of
 fingerprinted stages over a content-addressed artifact store, which is

@@ -66,14 +66,12 @@ class AnalysisConfig:
 class GANSecConfig:
     """Top-level pipeline configuration.
 
-    ``workers`` / ``executor`` select the pair-training runtime (see
-    :mod:`repro.runtime`): 1 worker runs serially; more workers default
-    to the process executor unless *executor* names another one
-    (``"serial"`` / ``"thread"`` / ``"process"``).  ``analysis_workers``
-    does the same for the Algorithm 3 security-analysis fan-out
-    (per-(pair, condition) jobs); both stages produce results that are
-    bitwise-independent of the worker count.  ``progress_every``
-    sets the cadence (in Algorithm 2 iterations) of
+    ``workers`` selects the pair-training runtime (see
+    :mod:`repro.runtime`): 1 worker runs serially, more run a process
+    pool of that size.  ``analysis_workers`` does the same for the
+    Algorithm 3 security-analysis fan-out (per-(pair, condition) jobs);
+    both stages produce results that are bitwise-independent of the
+    worker count.  ``progress_every`` sets the cadence (in Algorithm 2 iterations) of
     :class:`~repro.runtime.events.EpochProgress` events; 0 disables
     them.  ``sample_cache_entries`` bounds the LRU cache of generated
     condition samples shared across repeated ``analyze()`` calls (e.g.
@@ -86,7 +84,6 @@ class GANSecConfig:
     analysis: AnalysisConfig = field(default_factory=AnalysisConfig)
     seed: int | None = None
     workers: int = 1
-    executor: str | None = None
     analysis_workers: int = 1
     progress_every: int = 0
     sample_cache_entries: int = 64
@@ -106,13 +103,4 @@ class GANSecConfig:
         if self.progress_every < 0:
             raise ConfigurationError(
                 f"progress_every must be >= 0, got {self.progress_every}"
-            )
-        if self.executor is not None and self.executor not in (
-            "serial",
-            "thread",
-            "process",
-        ):
-            raise ConfigurationError(
-                "executor must be None, 'serial', 'thread', or 'process', "
-                f"got {self.executor!r}"
             )

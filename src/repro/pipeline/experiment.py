@@ -67,7 +67,6 @@ class ExperimentConfig:
     g_size: int = 200
     test_fraction: float = 0.25
     workers: int = 1
-    executor: str | None = None
     analysis_workers: int = 1
     chunk_size: int | None = None
     trace: bool = False
@@ -153,7 +152,6 @@ def _build_pipeline(config: ExperimentConfig) -> GANSec:
             ),
             seed=config.seed,
             workers=config.workers,
-            executor=config.executor,
             analysis_workers=config.analysis_workers,
         ),
     )
@@ -197,12 +195,15 @@ def run_experiment(
     store = ArtifactStore(out_dir)
     manifest = RunManifest.load(out_dir)
     pair = FlowPairKey(config.emission_flow, GCODE_FLOW)
-    stages, group_runners, pair_for_stage = build_experiment_stages(config, pair)
+    pipeline = _build_pipeline(config)
+    stages, group_runners, pair_for_stage = build_experiment_stages(
+        config, pipeline, pair
+    )
     context = ExperimentRunContext(
         config=config,
         store=store,
         manifest=manifest,
-        pipeline=_build_pipeline(config),
+        pipeline=pipeline,
         pair=pair,
         bus=bus,
         pair_for_stage=pair_for_stage,

@@ -7,20 +7,20 @@
    reachability, and pruned to the pairs covered by historical data.
 2. **CGAN model generation** (Algorithm 2): one conditional GAN is
    trained per trainable flow pair from its aligned dataset.  Pairs are
-   independent, so training fans out over the :mod:`repro.runtime`
-   executors (``workers=`` / ``executor=``) with per-pair RNG streams
-   derived from the pipeline seed and pair key alone — parallel runs
-   are bitwise-identical to serial ones.  Per-pair failures are
+   independent, so ``workers > 1`` fans training out over a
+   :mod:`repro.runtime` process pool, with per-pair RNG streams derived
+   from the pipeline seed and pair key alone — parallel runs are
+   bitwise-identical to serial ones.  Per-pair failures are
    isolated: every pair is attempted, successes are kept, and a single
    :class:`~repro.errors.PairTrainingError` aggregates the failures.
 3. **Security analysis** (Algorithm 3 + attack models): likelihood
    metrics, side-channel leakage, and a designer-facing report per pair.
 
 The historical data is supplied as a
-:class:`~repro.pipeline.pairs.PairDataRegistry` (or, deprecated, a
-plain ``(F_i name, F_j name) -> FlowPairDataset`` dict) — in the case
-study that single entry is the (acoustic features | G-code condition)
-dataset recorded from the simulated printer.
+:class:`~repro.pipeline.pairs.PairDataRegistry` (or a plain
+``FlowPairKey -> FlowPairDataset`` dict) — in the case study that
+single entry is the (acoustic features | G-code condition) dataset
+recorded from the simulated printer.
 """
 
 from __future__ import annotations
@@ -51,11 +51,7 @@ from repro.runtime.events import (
 )
 from repro.runtime.analysis import ConditionSampleCache
 from repro.runtime.executors import get_executor
-from repro.runtime.training import (
-    PairTrainingJob,
-    build_pair_cgan,
-    run_training_job,
-)
+from repro.runtime.training import PairTrainingJob, run_training_job
 from repro.security.report import SecurityReport, build_security_report
 from repro.utils.rng import as_root_entropy
 
@@ -135,25 +131,23 @@ class GANSec:
         """Run Algorithm 1 against the flows covered by *data*.
 
         *data* is a :class:`~repro.pipeline.pairs.PairDataRegistry`
-        (or legacy tuple-keyed dict); its keys define which flows have
-        historical observations.
+        (or ``FlowPairKey``-keyed dict); its keys define which flows
+        have historical observations.
         """
         registry = PairDataRegistry.coerce(data)
         self.graph_result = generate(self.architecture, registry.flow_names())
         return self.graph_result
 
     # -- step 2: Algorithm 2 -----------------------------------------------------
-    def _build_cgan(self, feature_dim: int, condition_dim: int, seed) -> ConditionalGAN:
-        return build_pair_cgan(self.config.cgan, feature_dim, condition_dim, seed)
-
-    def _trainable_name_pairs(self) -> set:
+    def _trainable_keys(self) -> set:
         # The paper: "Each pair is then supplied to the CGAN to model
         # Pr(F_i|F_j) or Pr(F_j|F_i)" — Algorithm 1 orders pairs causally,
         # but either conditioning direction may be trained.
         trainable = set()
         for fp in self.graph_result.trainable_pairs:
-            trainable.add(fp.names)
-            trainable.add(fp.names[::-1])
+            key = FlowPairKey(*fp.names)
+            trainable.add(key)
+            trainable.add(key.reversed())
         return trainable
 
     def train_models(
@@ -162,7 +156,6 @@ class GANSec:
         *,
         pairs=None,
         workers: int | None = None,
-        executor=None,
         bus: EventBus | None = None,
         checkpoint_plan: dict | None = None,
     ) -> dict[FlowPairKey, PairModel]:
@@ -171,18 +164,15 @@ class GANSec:
         Parameters
         ----------
         data:
-            :class:`~repro.pipeline.pairs.PairDataRegistry` (or legacy
-            ``(F_i, F_j) name tuple -> FlowPairDataset`` dict).
+            :class:`~repro.pipeline.pairs.PairDataRegistry` (or
+            ``FlowPairKey -> FlowPairDataset`` dict).
         pairs:
             Optional subset of pair keys to train; defaults to every
             registered pair that survived Algorithm 1's pruning.
         workers:
-            Worker count for the pair fan-out; defaults to
-            ``config.workers``.  Results are identical for any value.
-        executor:
-            ``"serial"`` / ``"thread"`` / ``"process"``, an
-            :class:`~repro.runtime.executors.Executor` instance, or
-            ``None`` to pick from ``config.executor`` / *workers*.
+            Worker count for the pair fan-out (1 = serial, more = a
+            process pool); defaults to ``config.workers``.  Results are
+            identical for any value.
         bus:
             Optional :class:`~repro.runtime.events.EventBus` receiving
             the structured training events.
@@ -205,26 +195,24 @@ class GANSec:
         registry = PairDataRegistry.coerce(data)
         if self.graph_result is None:
             self.generate_graph(registry)
-        trainable_names = self._trainable_name_pairs()
+        trainable = self._trainable_keys()
         if pairs is not None:
             selected = [as_pair_key(p) for p in pairs]
         else:
             selected = registry.keys()
         for key in selected:
             if key not in registry:
-                raise DataError(f"no dataset supplied for pair {key.as_tuple()}")
-            if key not in trainable_names:
+                raise DataError(f"no dataset supplied for pair {key.label()}")
+            if key not in trainable:
                 raise ConfigurationError(
-                    f"pair {key.as_tuple()} was pruned by Algorithm 1 (not "
+                    f"pair {key.label()} was pruned by Algorithm 1 (not "
                     "reachable or not covered by data); cannot train"
                 )
 
         cfg = self.config
         if workers is None:
             workers = cfg.workers
-        exec_obj = get_executor(
-            executor if executor is not None else cfg.executor, workers
-        )
+        exec_obj = get_executor(workers)
         bus = bus if bus is not None else EventBus()
         checkpoint_plan = checkpoint_plan or {}
         jobs = [
@@ -246,8 +234,8 @@ class GANSec:
         bus.emit(
             TrainingStarted(
                 total_pairs=len(jobs),
-                executor=getattr(exec_obj, "name", type(exec_obj).__name__),
-                workers=getattr(exec_obj, "workers", 1),
+                executor=exec_obj.name,
+                workers=exec_obj.workers,
             )
         )
 
@@ -334,7 +322,6 @@ class GANSec:
         pair_names=None,
         *,
         workers: int | None = None,
-        executor=None,
         bus: EventBus | None = None,
         chunk_size: int | None = None,
     ) -> dict[FlowPairKey, SecurityReport]:
@@ -347,17 +334,14 @@ class GANSec:
         training, with blocked Parzen scoring and a generated-sample
         cache that persists across repeated ``analyze()`` calls.  The
         per-job RNG streams derive from the pipeline seed and the
-        (pair, condition) identity alone, so any *workers* / *executor*
-        choice yields bitwise-identical reports.
+        (pair, condition) identity alone, so any *workers* choice
+        yields bitwise-identical reports.
 
         Parameters
         ----------
         workers:
-            Worker count for the analysis fan-out; defaults to
-            ``config.analysis_workers``.
-        executor:
-            ``"serial"`` / ``"thread"`` / ``"process"``, an executor
-            instance, or ``None`` to pick from *workers*.
+            Worker count for the analysis fan-out (1 = serial, more =
+            a process pool); defaults to ``config.analysis_workers``.
         bus:
             Optional :class:`~repro.runtime.events.EventBus` receiving
             ``AnalysisStarted`` / ``ConditionScored`` /
@@ -381,7 +365,7 @@ class GANSec:
         cfg = self.config.analysis
         for key in targets:
             if key not in self.models:
-                raise DataError(f"pair {key.as_tuple()} has no trained model")
+                raise DataError(f"pair {key.label()} has no trained model")
         if workers is None:
             workers = self.config.analysis_workers
         if chunk_size is None:
@@ -400,7 +384,6 @@ class GANSec:
             h=cfg.h,
             g_size=cfg.g_size,
             root_entropy=self._root_entropy,
-            executor=executor,
             workers=workers,
             bus=bus,
             chunk_size=chunk_size,
@@ -428,61 +411,28 @@ class GANSec:
         data,
         *,
         workers: int | None = None,
-        executor=None,
         bus: EventBus | None = None,
         analysis_workers: int | None = None,
     ) -> dict[FlowPairKey, SecurityReport]:
         """Convenience: graph → training → analysis in one call.
 
-        *workers* / *executor* drive the Algorithm 2 training fan-out;
+        *workers* drives the Algorithm 2 training fan-out and
         *analysis_workers* (defaulting to ``config.analysis_workers``)
-        drives the Algorithm 3 fan-out.  The shared *bus* receives both
-        stages' events — including the ``StageStarted`` /
-        ``StageCompleted`` lifecycle of the three Figure 4 steps, which
-        run as an ephemeral (in-memory, never-skipping)
-        :class:`~repro.pipeline.rungraph.RunGraph`.  The persistent,
-        resumable variant of this graph is
+        the Algorithm 3 fan-out; the shared *bus* receives both steps'
+        events.  The persistent, resumable form of this pipeline is
         :func:`repro.pipeline.experiment.run_experiment`.
         """
-        from repro.pipeline.rungraph import RunGraph, Stage
-
         registry = PairDataRegistry.coerce(data)
-        reports: dict[FlowPairKey, SecurityReport] = {}
-
-        def run_graph_stage(_ctx):
-            self.generate_graph(registry)
-            return {}, {"trainable_pairs": len(self.graph_result.trainable_pairs)}
-
-        def run_train_stage(_ctx):
-            self.train_models(registry, workers=workers, executor=executor, bus=bus)
-            return {}, {"trained": len(self.models)}
-
-        def run_analyze_stage(_ctx):
-            reports.update(
-                self.analyze(workers=analysis_workers, executor=executor, bus=bus)
-            )
-            return {}, {"analyzed": len(reports)}
-
-        graph = RunGraph(
-            [
-                Stage("graph", run=run_graph_stage),
-                Stage("train", run=run_train_stage, deps=("graph",)),
-                Stage("analyze", run=run_analyze_stage, deps=("train",)),
-            ],
-            store=None,
-            manifest=None,
-            bus=bus,
-            resume=False,
-        )
-        graph.execute(None)
-        return reports
+        self.generate_graph(registry)
+        self.train_models(registry, workers=workers, bus=bus)
+        return self.analyze(workers=analysis_workers, bus=bus)
 
     # -- persistence ----------------------------------------------------------
     @staticmethod
     def _pair_dirname(index: int, key: FlowPairKey) -> str:
         """Directory name for one pair: readable when safe, indexed otherwise.
 
-        Flow names containing ``__`` (the legacy separator), path
+        Flow names containing ``__`` (the readable separator), path
         metacharacters, or anything else hostile get a neutral
         ``pair_NNNN`` directory; identity always lives in the manifest.
         """
@@ -526,8 +476,8 @@ class GANSec:
         """Restore pair models saved by :meth:`save` into this pipeline.
 
         Pair identity is read from each subdirectory's ``manifest.json``;
-        directories written by older versions (no manifest, names
-        encoded as ``<first>__<second>``) are still understood.
+        a subdirectory without one raises
+        :class:`~repro.errors.SerializationError`.
         """
         import json
         from pathlib import Path
@@ -542,20 +492,17 @@ class GANSec:
         loaded: dict[FlowPairKey, PairModel] = {}
         for pair_dir in sorted(p for p in directory.iterdir() if p.is_dir()):
             manifest_path = pair_dir / _MANIFEST_NAME
-            if manifest_path.exists():
-                try:
-                    manifest = json.loads(manifest_path.read_text())
-                    key = FlowPairKey(manifest["first"], manifest["second"])
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise SerializationError(
-                        f"corrupt pair manifest at {manifest_path}: {exc}"
-                    ) from exc
-            elif "__" in pair_dir.name:
-                # Legacy layout: identity encoded in the directory name.
-                first, second = pair_dir.name.split("__", 1)
-                key = FlowPairKey(first, second)
-            else:
-                continue
+            if not manifest_path.exists():
+                raise SerializationError(
+                    f"pair directory {pair_dir} has no {_MANIFEST_NAME}"
+                )
+            try:
+                manifest = json.loads(manifest_path.read_text())
+                key = FlowPairKey(manifest["first"], manifest["second"])
+            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                raise SerializationError(
+                    f"corrupt pair manifest at {manifest_path}: {exc}"
+                ) from exc
             loaded[key] = PairModel(
                 pair_names=key,
                 cgan=load_cgan(pair_dir / "cgan"),

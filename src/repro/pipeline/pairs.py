@@ -1,24 +1,20 @@
 """Typed flow-pair keys and the dataset registry.
 
-Historically every pipeline mapping was keyed by a raw ``(str, str)``
-tuple of flow names.  :class:`FlowPairKey` replaces that with a frozen,
-hashable value object that still *compares and hashes like* the tuple it
-replaces — so existing call sites (``models[("F18", "F1")]``,
-``("F18", "F1") in reports``) keep working while new code gets
-``key.first`` / ``key.second`` / ``key.reversed()`` and string parsing.
+Every pipeline mapping is keyed by a :class:`FlowPairKey`: a frozen,
+hashable value object with ``key.first`` / ``key.second`` /
+``key.reversed()`` and ``"A|B"`` string parsing.  :func:`as_pair_key`
+is the one normalizer at the API boundary; it accepts a key or an
+``"A|B"`` string and rejects everything else, plain tuples included.
 
-:class:`PairDataRegistry` is the typed replacement for the raw
-``dict[(str, str), FlowPairDataset]`` threaded through
+:class:`PairDataRegistry` is the typed ``FlowPairKey ->
+FlowPairDataset`` mapping passed to
 :meth:`~repro.pipeline.gansec.GANSec.generate_graph` /
-:meth:`~repro.pipeline.gansec.GANSec.train_models`.  Plain dicts (and
-plain tuples) are still accepted everywhere through :func:`as_pair_key`
-/ :meth:`PairDataRegistry.coerce`, which normalize them and emit a
-``DeprecationWarning``.
+:meth:`~repro.pipeline.gansec.GANSec.train_models`; a plain dict with
+the same keys is accepted through :meth:`PairDataRegistry.coerce`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, DataError
@@ -27,13 +23,11 @@ from repro.errors import ConfigurationError, DataError
 PAIR_SEPARATOR = "|"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FlowPairKey:
     """Identity of one ordered flow pair ``(F_first | F_second)``.
 
-    The key hashes and compares equal to the plain ``(first, second)``
-    tuple, supports iteration/indexing like a 2-tuple, and round-trips
-    through ``str()`` / :meth:`parse`.
+    Round-trips through ``str()`` / :meth:`parse`.
     """
 
     first: str
@@ -46,7 +40,6 @@ class FlowPairKey:
                     f"FlowPairKey.{label} must be a non-empty string, got {value!r}"
                 )
 
-    # -- construction ---------------------------------------------------------
     @classmethod
     def parse(cls, text: str) -> "FlowPairKey":
         """Parse ``"F18|F1"`` (whitespace-tolerant) into a key."""
@@ -63,32 +56,6 @@ class FlowPairKey:
         """The opposite conditioning direction, ``(second | first)``."""
         return FlowPairKey(self.second, self.first)
 
-    # -- tuple interoperability ------------------------------------------------
-    def as_tuple(self) -> tuple:
-        return (self.first, self.second)
-
-    def __iter__(self):
-        yield self.first
-        yield self.second
-
-    def __getitem__(self, index):
-        return self.as_tuple()[index]
-
-    def __len__(self):
-        return 2
-
-    def __eq__(self, other):
-        if isinstance(other, FlowPairKey):
-            return self.as_tuple() == other.as_tuple()
-        if isinstance(other, tuple):
-            return self.as_tuple() == other
-        return NotImplemented
-
-    def __hash__(self):
-        # Must match hash((first, second)) so FlowPairKey-keyed dicts
-        # accept plain-tuple lookups (and vice versa).
-        return hash(self.as_tuple())
-
     def __str__(self):
         return f"{self.first}{PAIR_SEPARATOR}{self.second}"
 
@@ -100,39 +67,25 @@ class FlowPairKey:
         return f"FlowPairKey({self.first!r}, {self.second!r})"
 
 
-def as_pair_key(value, *, warn_on_tuple: bool = True) -> FlowPairKey:
-    """Normalize *value* into a :class:`FlowPairKey`.
-
-    Accepts an existing key (returned unchanged), a ``"A|B"`` string, or
-    — deprecated — a 2-sequence of flow names, in which case a
-    ``DeprecationWarning`` is emitted unless *warn_on_tuple* is false.
-    """
+def as_pair_key(value) -> FlowPairKey:
+    """Normalize *value* — a :class:`FlowPairKey` (returned unchanged) or
+    an ``"A|B"`` string — into a :class:`FlowPairKey`."""
     if isinstance(value, FlowPairKey):
         return value
     if isinstance(value, str):
         return FlowPairKey.parse(value)
-    try:
-        first, second = value
-    except (TypeError, ValueError):
-        raise ConfigurationError(
-            f"cannot interpret {value!r} as a flow pair key"
-        ) from None
-    if warn_on_tuple:
-        warnings.warn(
-            "passing flow pairs as plain tuples is deprecated; use "
-            f"FlowPairKey({first!r}, {second!r})",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return FlowPairKey(str(first), str(second))
+    raise ConfigurationError(
+        f"cannot interpret {value!r} as a flow pair key; use "
+        "FlowPairKey(first, second) or an 'A|B' string"
+    )
 
 
 class PairDataRegistry:
     """Typed mapping of :class:`FlowPairKey` -> ``FlowPairDataset``.
 
     Provides the flow-name bookkeeping Algorithm 1 needs
-    (:meth:`flow_names`) plus dict-style access that accepts keys,
-    strings, or legacy tuples.
+    (:meth:`flow_names`) plus dict-style access that accepts keys or
+    ``"A|B"`` strings.
     """
 
     def __init__(self, datasets=None):
@@ -143,7 +96,7 @@ class PairDataRegistry:
 
     @classmethod
     def coerce(cls, data) -> "PairDataRegistry":
-        """Accept a registry (unchanged) or a legacy dict (normalized)."""
+        """Accept a registry (unchanged) or a dict (normalized)."""
         if isinstance(data, cls):
             return data
         if data is None:
@@ -170,11 +123,11 @@ class PairDataRegistry:
         return self._datasets.items()
 
     def __getitem__(self, key):
-        return self._datasets[as_pair_key(key, warn_on_tuple=False)]
+        return self._datasets[as_pair_key(key)]
 
     def __contains__(self, key):
         try:
-            return as_pair_key(key, warn_on_tuple=False) in self._datasets
+            return as_pair_key(key) in self._datasets
         except ConfigurationError:
             return False
 

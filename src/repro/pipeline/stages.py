@@ -15,7 +15,7 @@ stage                     paper step                             outputs
 ========================  =====================================  ==========================
 
 Each stage's ``config_slice`` holds exactly the configuration that
-affects its result — scheduling knobs (workers, executor, chunk sizes,
+affects its result — scheduling knobs (worker counts, chunk sizes,
 tracing, caching, checkpoint cadence) are excluded, so changing them
 never re-runs anything.
 
@@ -120,7 +120,7 @@ def _run_graph(ctx: ExperimentRunContext):
 
 
 def _hydrate_pair_model(ctx: ExperimentRunContext, key: FlowPairKey) -> None:
-    """Rebuild ``pipeline.models[key]`` from the persisted ``model/``.
+    """Install ``pipeline.models[key]`` rebuilt from the persisted ``model/``.
 
     The train/test split is re-derived, not stored: its RNG stream
     depends only on the pipeline seed and the pair identity, so the
@@ -133,8 +133,11 @@ def _hydrate_pair_model(ctx: ExperimentRunContext, key: FlowPairKey) -> None:
     train_set, test_set = ctx.dataset().split(
         ctx.pipeline.config.analysis.test_fraction, seed=split_rng
     )
-    ctx.pipeline.models[key] = PairModel(
-        pair_names=key, cgan=cgan, train_set=train_set, test_set=test_set
+    ctx.pipeline._replace_model(
+        key,
+        PairModel(
+            pair_names=key, cgan=cgan, train_set=train_set, test_set=test_set
+        ),
     )
 
 
@@ -252,19 +255,15 @@ def train_group_runner(group: str, batch, ctx: ExperimentRunContext):
     return results, abort
 
 
-def build_experiment_stages(config: "ExperimentConfig", pair: FlowPairKey):
+def build_experiment_stages(
+    config: "ExperimentConfig", pipeline: GANSec, pair: FlowPairKey
+):
     """The experiment's run graph for one flow pair.
 
-    Returns ``(stages, group_runners, pair_for_stage)``; the caller puts
-    *pair_for_stage* on the :class:`ExperimentRunContext`.
+    The train stage fingerprints *pipeline*'s CGAN config, the one
+    training uses.  Returns ``(stages, group_runners, pair_for_stage)``;
+    the caller puts *pair_for_stage* on the :class:`ExperimentRunContext`.
     """
-    from repro.pipeline.config import CGANConfig
-
-    cgan_cfg = CGANConfig(
-        iterations=config.iterations,
-        batch_size=config.batch_size,
-        k_disc=config.k_disc,
-    )
     train_name = f"train[{pair}]"
     analyze_name = f"analyze[{pair}]"
     stages = [
@@ -292,7 +291,7 @@ def build_experiment_stages(config: "ExperimentConfig", pair: FlowPairKey):
             config_slice={
                 "pair": str(pair),
                 "seed": config.seed,
-                "cgan": asdict(cgan_cfg),
+                "cgan": asdict(pipeline.config.cgan),
                 "test_fraction": config.test_fraction,
             },
             outputs=("model", "history"),

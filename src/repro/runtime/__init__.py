@@ -2,11 +2,11 @@
 
 Algorithm 2 trains one independent CGAN per flow pair and Algorithm 3
 scores one independent Parzen table per (pair, condition); this package
-supplies the machinery to fan both out (serial / thread / process
-executors with a common ``map_pairs`` interface), keep them
-deterministic (per-work-item RNG streams derived from the pipeline seed
-and work-item identity, independent of worker scheduling), and observe
-them (a thread-safe event bus with console and JSONL consumers).
+supplies the machinery to fan both out (serial and process executors,
+picked by the worker count), keep them deterministic (per-work-item RNG
+streams derived from the pipeline seed and work-item identity,
+independent of worker scheduling), and observe them (a thread-safe
+event bus with console and JSONL consumers).
 """
 
 from repro.runtime.analysis import (
@@ -33,11 +33,9 @@ from repro.runtime.events import (
     TrainingStarted,
 )
 from repro.runtime.executors import (
-    EXECUTORS,
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     get_executor,
 )
 from repro.runtime.reporters import (
@@ -55,7 +53,6 @@ from repro.runtime.training import (
 )
 
 __all__ = [
-    "EXECUTORS",
     "AnalysisCompleted",
     "AnalysisJob",
     "AnalysisOutcome",
@@ -78,7 +75,6 @@ __all__ = [
     "StageCompleted",
     "StageSkipped",
     "StageStarted",
-    "ThreadExecutor",
     "TrainingFinished",
     "TrainingStarted",
     "analysis_rng",

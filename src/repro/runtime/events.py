@@ -34,7 +34,7 @@ A staged pipeline run (:func:`repro.pipeline.experiment.run_experiment`,
 when the stage's fingerprint matched a prior run and its recorded
 outputs verified on disk.
 
-The bus is thread-safe: ``ThreadExecutor`` workers emit concurrently.
+The bus is thread-safe, so concurrent producers may share it.
 Process-executor workers cannot reach the parent's bus, so their
 ``EpochProgress`` rows are recorded in the job result and replayed by
 the parent before ``PairTrained`` is emitted.

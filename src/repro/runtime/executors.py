@@ -6,12 +6,12 @@ here share one interface, :meth:`Executor.map_pairs`, which applies a
 function to a list of jobs and returns the results **in job order**:
 
 * :class:`SerialExecutor` — plain loop; the reference schedule.
-* :class:`ThreadExecutor` — ``concurrent.futures`` thread pool; cheap
-  to start, shares memory (live event emission works), but the GIL
-  limits speedup to the numpy-heavy fraction of the training loop.
 * :class:`ProcessExecutor` — process pool; true CPU parallelism.  The
   mapped function and jobs must be picklable (module-level function +
   dataclass payloads).
+
+The worker count alone picks one (:func:`get_executor`): one worker
+runs serially, more run the process pool.
 
 Determinism does **not** depend on the executor: per-pair RNG streams
 are derived from ``(pipeline seed, pair key)`` alone (see
@@ -21,32 +21,26 @@ produce bitwise-identical models.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 
 from repro.errors import ConfigurationError
-
-
-def _default_workers() -> int:
-    return max(1, os.cpu_count() or 1)
 
 
 class Executor:
     """Common interface: apply ``fn`` to jobs, preserving order."""
 
-    #: Executor registry name (also what ``get_executor`` resolves).
+    #: Name reported in the ``TrainingStarted`` / ``AnalysisStarted`` events.
     name = "abstract"
     #: True when ``fn`` runs in this interpreter (closures + live event
     #: emission are allowed); False when jobs are shipped to workers.
     in_process = True
+    workers = 1
 
     def map_pairs(self, fn, jobs) -> list:
         raise NotImplementedError
 
     def __repr__(self):
-        workers = getattr(self, "workers", 1)
-        return f"{type(self).__name__}(workers={workers})"
+        return f"{type(self).__name__}(workers={self.workers})"
 
 
 class SerialExecutor(Executor):
@@ -55,104 +49,31 @@ class SerialExecutor(Executor):
     name = "serial"
     in_process = True
 
-    def __init__(self, workers: int | None = None):
-        self.workers = 1
-
     def map_pairs(self, fn, jobs) -> list:
         return [fn(job) for job in jobs]
 
 
-class ThreadExecutor(Executor):
-    """Run jobs on a thread pool (shared memory, GIL-bound)."""
-
-    name = "thread"
-    in_process = True
-
-    def __init__(self, workers: int | None = None):
-        if workers is not None and workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        self.workers = workers or _default_workers()
-
-    def map_pairs(self, fn, jobs) -> list:
-        jobs = list(jobs)
-        if not jobs:
-            return []
-        with ThreadPoolExecutor(
-            max_workers=min(self.workers, len(jobs))
-        ) as pool:
-            return list(pool.map(fn, jobs))
-
-
 class ProcessExecutor(Executor):
-    """Run jobs on a process pool (true CPU parallelism).
-
-    Parameters
-    ----------
-    workers:
-        Pool size; defaults to the machine's CPU count.
-    start_method:
-        ``"fork"`` / ``"spawn"`` / ``"forkserver"`` or ``None`` for the
-        platform default.  ``spawn`` children re-import the library, so
-        the package must be importable in fresh interpreters.
-    """
+    """Run jobs on a pool of at most *workers* processes."""
 
     name = "process"
     in_process = False
 
-    def __init__(self, workers: int | None = None, *, start_method: str | None = None):
-        if workers is not None and workers < 1:
+    def __init__(self, workers: int):
+        if workers < 1:
             raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if start_method is not None:
-            valid = multiprocessing.get_all_start_methods()
-            if start_method not in valid:
-                raise ConfigurationError(
-                    f"start_method must be one of {valid}, got {start_method!r}"
-                )
-        self.workers = workers or _default_workers()
-        self.start_method = start_method
+        self.workers = workers
 
     def map_pairs(self, fn, jobs) -> list:
         jobs = list(jobs)
         if not jobs:
             return []
-        context = multiprocessing.get_context(self.start_method)
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(jobs)), mp_context=context
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=min(self.workers, len(jobs))) as pool:
             return list(pool.map(fn, jobs))
 
 
-#: Name -> executor class, for config / CLI resolution.
-EXECUTORS = {
-    SerialExecutor.name: SerialExecutor,
-    ThreadExecutor.name: ThreadExecutor,
-    ProcessExecutor.name: ProcessExecutor,
-}
-
-
-def get_executor(executor=None, workers: int | None = None) -> Executor:
-    """Resolve an executor spec into an :class:`Executor` instance.
-
-    *executor* may be an existing instance (returned unchanged), a
-    registry name (``"serial"`` / ``"thread"`` / ``"process"``), or
-    ``None`` — in which case ``workers`` picks the default: serial for
-    0/1 workers, process otherwise.
-    """
-    if isinstance(executor, Executor):
-        return executor
-    if executor is not None and not isinstance(executor, str):
-        # Duck-typed third-party executor: anything with map_pairs.
-        if hasattr(executor, "map_pairs"):
-            return executor
-        raise ConfigurationError(
-            f"executor must be a name or expose map_pairs(), got {executor!r}"
-        )
-    if executor is None:
-        executor = "serial" if not workers or workers <= 1 else "process"
-    try:
-        cls = EXECUTORS[executor]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown executor {executor!r}; expected one of {sorted(EXECUTORS)}"
-        ) from None
-    return cls(workers)
+def get_executor(workers: int | None = None) -> Executor:
+    """Serial for ``None`` / 0 / 1 workers, a process pool otherwise."""
+    if not workers or workers <= 1:
+        return SerialExecutor()
+    return ProcessExecutor(workers)

@@ -115,7 +115,7 @@ def run_training_job(job: PairTrainingJob, emit=None) -> PairTrainingOutcome:
 
     *emit*, when given, is called as ``emit(iteration, total, d_loss,
     g_loss)`` every ``job.progress_every`` iterations (live progress for
-    in-process executors).  The same rows are always recorded on the
+    the serial executor).  The same rows are always recorded on the
     outcome for after-the-fact replay.
     """
     start = time.perf_counter()

@@ -12,8 +12,8 @@ over the :mod:`repro.runtime.executors`, with
   fixed memory budget instead of per-point Python loops;
 * **deterministic fan-out** — each job's generator-noise stream is
   derived from ``(root_entropy, pair, condition)`` alone
-  (:func:`~repro.runtime.analysis.analysis_rng`), so serial, thread,
-  and process schedules produce bitwise-identical likelihood tables;
+  (:func:`~repro.runtime.analysis.analysis_rng`), so serial and
+  process schedules produce bitwise-identical likelihood tables;
 * **sample caching** — generated condition samples are reused through a
   :class:`~repro.runtime.analysis.ConditionSampleCache` keyed by
   ``(pair, condition, n, seed)``, which makes Table-I-style ``h``
@@ -133,7 +133,6 @@ def run_security_analysis(
     h: float = 0.2,
     g_size: int = 200,
     root_entropy: int | None = None,
-    executor=None,
     workers: int | None = None,
     bus: EventBus | None = None,
     chunk_size: int | None = None,
@@ -152,10 +151,10 @@ def run_security_analysis(
         ``None`` draws fresh entropy (still deterministic *within* the
         run, but not reproducible across runs).  A ``Generator`` raises
         :class:`~repro.errors.ConfigurationError`.
-    executor / workers:
-        Fan-out selection, as in :meth:`GANSec.train_models`: ``None``
-        picks serial for 0/1 workers and the process executor otherwise.
-        Results are bitwise-identical for every choice.
+    workers:
+        Fan-out width, as in :meth:`GANSec.train_models`: serial for
+        ``None`` / 0 / 1, a process pool otherwise.  Results are
+        bitwise-identical for every choice.
     bus:
         Optional :class:`~repro.runtime.events.EventBus` receiving the
         structured analysis events.
@@ -214,14 +213,14 @@ def run_security_analysis(
     for job in jobs:
         job.total = len(jobs)
 
-    exec_obj = get_executor(executor, workers)
+    exec_obj = get_executor(workers)
     start = time.perf_counter()
     bus.emit(
         AnalysisStarted(
             total_pairs=len(prepared),
             total_conditions=len(jobs),
-            executor=getattr(exec_obj, "name", type(exec_obj).__name__),
-            workers=getattr(exec_obj, "workers", 1),
+            executor=exec_obj.name,
+            workers=exec_obj.workers,
         )
     )
 
@@ -303,7 +302,6 @@ def security_analysis(
     g_size: int = 200,
     root_entropy: int | None = None,
     pair: str = DEFAULT_PAIR,
-    executor=None,
     workers: int | None = None,
     bus: EventBus | None = None,
     chunk_size: int | None = None,
@@ -328,7 +326,6 @@ def security_analysis(
         h=h,
         g_size=g_size,
         root_entropy=root_entropy,
-        executor=executor,
         workers=workers,
         bus=bus,
         chunk_size=chunk_size,

@@ -4,7 +4,9 @@ import pytest
 
 from repro.errors import ConfigurationError, DataError, NotFittedError
 from repro.manufacturing import GCODE_FLOW, printer_architecture
-from repro.pipeline import CGANConfig, GANSec, GANSecConfig
+from repro.pipeline import CGANConfig, FlowPairKey, GANSec, GANSecConfig
+
+KEY = FlowPairKey("F18", GCODE_FLOW)
 
 
 @pytest.fixture(scope="module")
@@ -15,7 +17,7 @@ def fast_config():
 @pytest.fixture(scope="module")
 def pipeline_run(case_dataset, fast_config):
     pipe = GANSec(printer_architecture(), fast_config)
-    data = {("F18", GCODE_FLOW): case_dataset}
+    data = {KEY: case_dataset}
     reports = pipe.run(data)
     return pipe, reports
 
@@ -23,7 +25,7 @@ def pipeline_run(case_dataset, fast_config):
 class TestGraphStep:
     def test_graph_generated_from_data_keys(self, case_dataset, fast_config):
         pipe = GANSec(printer_architecture(), fast_config)
-        res = pipe.generate_graph({("F18", GCODE_FLOW): case_dataset})
+        res = pipe.generate_graph({KEY: case_dataset})
         assert res.graph.number_of_nodes() == 13
         trainable = {fp.names for fp in res.trainable_pairs}
         assert (GCODE_FLOW, "F18") in trainable
@@ -34,45 +36,49 @@ class TestTrainStep:
         pipe = GANSec(printer_architecture(), fast_config)
         with pytest.raises(DataError):
             pipe.train_models(
-                {("F18", GCODE_FLOW): case_dataset},
-                pairs=[("F2", "F3")],
+                {KEY: case_dataset},
+                pairs=[FlowPairKey("F2", "F3")],
             )
 
     def test_rejects_pruned_pair(self, case_dataset, fast_config):
         pipe = GANSec(printer_architecture(), fast_config)
         # Graph generated when only F18/F1 have data: the thermal pair
         # (F19, F20) is pruned, so a later attempt to train it must fail.
-        pipe.generate_graph({("F18", GCODE_FLOW): case_dataset})
+        pipe.generate_graph({KEY: case_dataset})
         with pytest.raises(ConfigurationError, match="pruned"):
-            pipe.train_models({("F19", "F20"): case_dataset})
+            pipe.train_models({FlowPairKey("F19", "F20"): case_dataset})
 
     def test_split_sizes(self, pipeline_run, case_dataset):
         pipe, _ = pipeline_run
-        model = pipe.models[("F18", GCODE_FLOW)]
+        model = pipe.models[KEY]
         assert len(model.train_set) + len(model.test_set) == len(case_dataset)
         assert model.cgan.is_trained
 
 
-class TestRunStageEvents:
-    def test_run_emits_stage_lifecycle(self, case_dataset, fast_config):
-        from repro.runtime.events import EventBus, StageCompleted, StageStarted
+class TestRunEvents:
+    def test_run_emits_training_then_analysis(self, case_dataset, fast_config):
+        from repro.runtime.events import EventBus
 
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
         pipe = GANSec(printer_architecture(), fast_config)
-        reports = pipe.run({("F18", GCODE_FLOW): case_dataset}, bus=bus)
-        started = [e.stage for e in events if isinstance(e, StageStarted)]
-        completed = [e.stage for e in events if isinstance(e, StageCompleted)]
-        assert started == ["graph", "train", "analyze"]
-        assert completed == started
-        assert ("F18", GCODE_FLOW) in reports
+        reports = pipe.run({KEY: case_dataset}, bus=bus)
+        kinds = [e.kind for e in events]
+        assert kinds[0] == "TrainingStarted"
+        assert kinds[-1] == "AnalysisCompleted"
+        finished = kinds.index("TrainingFinished")
+        assert kinds[finished + 1] == "AnalysisStarted"
+        assert "PairTrained" in kinds[:finished]
+        assert "ConditionScored" in kinds[finished:]
+        assert not [k for k in kinds if k.startswith("Stage")]
+        assert KEY in reports
 
 
 class TestAnalyzeStep:
     def test_reports_produced(self, pipeline_run):
         _pipe, reports = pipeline_run
-        report = reports[("F18", GCODE_FLOW)]
+        report = reports[KEY]
         assert report.leakage.accuracy >= 0.0
         assert "VERDICT" in report.to_text()
 
@@ -84,7 +90,7 @@ class TestAnalyzeStep:
     def test_analyze_unknown_pair_raises(self, pipeline_run):
         pipe, _ = pipeline_run
         with pytest.raises(DataError):
-            pipe.analyze(("F14", GCODE_FLOW))
+            pipe.analyze(FlowPairKey("F14", GCODE_FLOW))
 
     def test_summary_text(self, pipeline_run):
         pipe, _ = pipeline_run

@@ -16,29 +16,12 @@ class TestFlowPairKey:
         assert key.reversed() == FlowPairKey("F1", "F18")
         assert key.reversed().reversed() == key
 
-    def test_tuple_equality_and_hash(self):
-        key = FlowPairKey("F18", "F1")
-        assert key == ("F18", "F1")
-        assert ("F18", "F1") == key
-        assert key != ("F1", "F18")
-        assert hash(key) == hash(("F18", "F1"))
-
     def test_interchangeable_as_dict_key(self):
         store = {FlowPairKey("A", "B"): 1}
-        assert ("A", "B") in store
-        assert store[("A", "B")] == 1
-        tuple_store = {("A", "B"): 2}
-        assert FlowPairKey("A", "B") in tuple_store
-        assert tuple_store[FlowPairKey("A", "B")] == 2
-
-    def test_tuple_protocol(self):
-        key = FlowPairKey("A", "B")
-        first, second = key
-        assert (first, second) == ("A", "B")
-        assert key[0] == "A" and key[1] == "B"
-        assert key[::-1] == ("B", "A")
-        assert len(key) == 2
-        assert key.as_tuple() == ("A", "B")
+        assert FlowPairKey("A", "B") in store
+        assert store[FlowPairKey("A", "B")] == 1
+        assert FlowPairKey("B", "A") not in store
+        assert ("A", "B") not in store
 
     def test_str_parse_roundtrip(self):
         key = FlowPairKey("F18", "F1")
@@ -75,18 +58,11 @@ class TestAsPairKey:
     def test_string_parsed(self):
         assert as_pair_key("A|B") == FlowPairKey("A", "B")
 
-    def test_tuple_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="plain tuples"):
-            key = as_pair_key(("A", "B"))
-        assert key == FlowPairKey("A", "B")
-
-    def test_tuple_warning_suppressible(self, recwarn):
-        as_pair_key(("A", "B"), warn_on_tuple=False)
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    @pytest.mark.parametrize("bad", [42, ("A",), ("A", "B", "C"), None])
+    @pytest.mark.parametrize(
+        "bad", [42, ("A",), ("A", "B", "C"), None, ("A", "B")]
+    )
     def test_rejects_non_pairs(self, bad):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError, match="FlowPairKey"):
             as_pair_key(bad)
 
 
@@ -102,14 +78,17 @@ class TestPairDataRegistry:
 
     def test_coerce_dict_and_lookup_styles(self):
         ds = self._dataset()
-        with pytest.warns(DeprecationWarning):
-            registry = PairDataRegistry.coerce({("A", "B"): ds})
+        registry = PairDataRegistry.coerce({FlowPairKey("A", "B"): ds})
         assert len(registry) == 1
         assert FlowPairKey("A", "B") in registry
-        assert ("A", "B") in registry
         assert "A|B" in registry
+        assert ("A", "B") not in registry
         assert registry[FlowPairKey("A", "B")] is ds
-        assert registry[("A", "B")] is ds
+        assert registry["A|B"] is ds
+
+    def test_coerce_tuple_keyed_dict_rejected(self):
+        with pytest.raises(ConfigurationError, match="FlowPairKey"):
+            PairDataRegistry.coerce({("A", "B"): self._dataset()})
 
     def test_coerce_registry_passthrough(self):
         registry = PairDataRegistry({FlowPairKey("A", "B"): self._dataset()})

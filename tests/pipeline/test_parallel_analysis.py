@@ -1,4 +1,4 @@
-"""Parallel security analysis through GANSec: determinism, shim, events.
+"""Parallel security analysis through GANSec: determinism, events, cache.
 
 The analysis counterpart of test_parallel.py: GANSec.analyze fans out
 per-(pair, condition) jobs over the executors, and with a fixed
@@ -6,8 +6,6 @@ pipeline seed every schedule must produce likelihood tables
 bitwise-identical to the serial path — even though reports were already
 cached, regenerated, or computed with a different worker count.
 """
-
-import warnings
 
 import numpy as np
 import pytest
@@ -65,11 +63,11 @@ def _tables(reports):
 
 
 class TestAnalyzeDeterminism:
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_parallel_matches_serial_bitwise(self, trained_pipe, executor):
+    @pytest.mark.parametrize("workers", [2], ids=["process"])
+    def test_parallel_matches_serial_bitwise(self, trained_pipe, workers):
         pipe, _keys = trained_pipe
-        serial = _tables(pipe.analyze(workers=1, executor="serial"))
-        parallel = _tables(pipe.analyze(workers=2, executor=executor))
+        serial = _tables(pipe.analyze(workers=1))
+        parallel = _tables(pipe.analyze(workers=workers))
         assert serial.keys() == parallel.keys()
         for pair in serial:
             np.testing.assert_array_equal(serial[pair][0], parallel[pair][0])
@@ -101,41 +99,16 @@ class TestAnalyzeDeterminism:
             assert pipe.models[key].report is reports[key]
 
 
-class TestTupleShim:
-    def test_tuple_pair_warns_in_analyze(self, trained_pipe):
-        pipe, keys = trained_pipe
-        key = keys[0]
-        with pytest.warns(DeprecationWarning, match="FlowPairKey"):
-            reports = pipe.analyze((key.first, key.second))
-        assert set(reports) == {key}
-
-    def test_flowpairkey_does_not_warn(self, trained_pipe):
-        pipe, keys = trained_pipe
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            reports = pipe.analyze(keys[0])
-        assert set(reports) == {keys[0]}
-
-    def test_tuple_and_key_give_identical_report(self, trained_pipe):
-        pipe, keys = trained_pipe
-        key = keys[0]
-        with pytest.warns(DeprecationWarning):
-            via_tuple = pipe.analyze((key.first, key.second))[key]
-        via_key = pipe.analyze(key)[key]
-        np.testing.assert_array_equal(
-            via_tuple.likelihood.avg_correct, via_key.likelihood.avg_correct
-        )
-
-
 class TestAnalysisEvents:
     def test_event_stream_through_gansec(self, trained_pipe):
         pipe, keys = trained_pipe
         bus = EventBus()
         events = []
         bus.subscribe(events.append)
-        pipe.analyze(workers=2, executor="thread", bus=bus)
+        pipe.analyze(workers=2, bus=bus)
         kinds = [e.kind for e in events]
         assert kinds[0] == "AnalysisStarted"
+        assert events[0].executor == "process"
         assert kinds[-1] == "AnalysisCompleted"
         # 2 pairs x 2 conditions.
         assert kinds.count("ConditionScored") == 4

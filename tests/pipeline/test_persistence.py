@@ -10,6 +10,8 @@ from repro.manufacturing import GCODE_FLOW, printer_architecture
 from repro.pipeline import CGANConfig, FlowPairKey, GANSec, GANSecConfig
 from repro.pipeline.gansec import PairModel
 
+KEY = FlowPairKey("F18", GCODE_FLOW)
+
 
 @pytest.fixture(scope="module")
 def trained_pipeline(case_dataset):
@@ -17,7 +19,7 @@ def trained_pipeline(case_dataset):
         printer_architecture(),
         GANSecConfig(cgan=CGANConfig(iterations=100), seed=1),
     )
-    pipe.run({("F18", GCODE_FLOW): case_dataset})
+    pipe.run({KEY: case_dataset})
     return pipe
 
 
@@ -27,10 +29,10 @@ class TestSaveLoad:
 
         fresh = GANSec(printer_architecture(), GANSecConfig(seed=2))
         loaded = fresh.load(tmp_path / "models")
-        assert ("F18", GCODE_FLOW) in loaded
+        assert KEY in loaded
 
-        original = trained_pipeline.models[("F18", GCODE_FLOW)]
-        restored = fresh.models[("F18", GCODE_FLOW)]
+        original = trained_pipeline.models[KEY]
+        restored = fresh.models[KEY]
         cond = original.test_set.unique_conditions()[0]
         np.testing.assert_allclose(
             original.cgan.generate_for_condition(cond, 4, seed=9),
@@ -45,7 +47,7 @@ class TestSaveLoad:
         fresh = GANSec(printer_architecture(), GANSecConfig(seed=3))
         fresh.load(tmp_path / "m2")
         reports = fresh.analyze()
-        assert ("F18", GCODE_FLOW) in reports
+        assert KEY in reports
 
     def test_save_without_models_raises(self, tmp_path):
         pipe = GANSec(printer_architecture(), GANSecConfig(seed=0))
@@ -78,14 +80,13 @@ def _tiny_pair_model(key) -> PairModel:
 class TestHostilePairNames:
     """Pair identity must survive names the directory layout can't encode.
 
-    The legacy layout encoded names as ``<first>__<second>`` and split
-    on the first ``__`` at load time — any flow name containing ``__``
-    (or path metacharacters) came back corrupted.  Identity now lives
-    in a per-pair manifest.json.
+    Directory names are cosmetic: a name-encoded ``<first>__<second>``
+    layout would corrupt any flow name containing ``__`` (or path
+    metacharacters), so identity lives in a per-pair manifest.json.
     """
 
     HOSTILE_KEYS = [
-        FlowPairKey("A__B", "C"),          # legacy separator inside a name
+        FlowPairKey("A__B", "C"),          # separator inside a name
         FlowPairKey("left__", "__right"),  # separator at the edges
         FlowPairKey("with/slash", "dot..dot"),
         FlowPairKey("F18", "F1"),          # plain names keep working too
@@ -129,21 +130,14 @@ class TestHostilePairNames:
             assert "/" not in pair_dir.name
             assert ".." not in pair_dir.name
 
-    def test_legacy_layout_still_loads(self, tmp_path):
-        """Directories written before manifests (name-encoded) load fine."""
-        model = _tiny_pair_model(FlowPairKey("F18", "F1"))
-        legacy_dir = tmp_path / "models" / "F18__F1"
-
-        from repro.flows.io import save_dataset
-        from repro.gan.serialization import save_cgan
-
-        save_cgan(model.cgan, legacy_dir / "cgan")
-        save_dataset(model.train_set, legacy_dir / "train.npz")
-        save_dataset(model.test_set, legacy_dir / "test.npz")
-
-        pipe = GANSec(printer_architecture(), GANSecConfig(seed=0))
-        loaded = pipe.load(tmp_path / "models")
-        assert FlowPairKey("F18", "F1") in loaded
+    def test_missing_manifest_rejected(self, tmp_path):
+        pipe = self._pipeline_with_models()
+        pipe.save(tmp_path / "models")
+        victim = tmp_path / "models" / "F18__F1"
+        (victim / "manifest.json").unlink()
+        fresh = GANSec(printer_architecture(), GANSecConfig(seed=0))
+        with pytest.raises(SerializationError, match="F18__F1"):
+            fresh.load(tmp_path / "models")
 
     def test_corrupt_manifest_rejected(self, tmp_path):
         pipe = self._pipeline_with_models()

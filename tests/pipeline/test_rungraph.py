@@ -157,30 +157,6 @@ class TestInvalidation:
         assert _names(events, StageStarted) == ["b"]
 
 
-class TestEphemeral:
-    def test_no_store_runs_everything_with_events(self, tmp_path):
-        bus = EventBus()
-        events = _collect(bus)
-        ran = []
-
-        def make_run(name):
-            def run(ctx):
-                ran.append(name)
-                return {}, {}
-
-            return run
-
-        stages = [
-            Stage("x", run=make_run("x")),
-            Stage("y", run=make_run("y"), deps=("x",)),
-        ]
-        graph = RunGraph(stages, None, None, bus=bus, resume=False)
-        graph.execute(object())
-        graph.execute(object())  # nothing persists, nothing skips
-        assert ran == ["x", "y", "x", "y"]
-        assert _names(events, StageSkipped) == []
-
-
 class TestGraphValidation:
     def test_unknown_dep_rejected(self):
         with pytest.raises(ConfigurationError, match="nope"):

@@ -29,7 +29,7 @@ def _make_pipeline(entries):
 
 def _sweep(pipe, case_dataset):
     """Train once, then analyze across H_SWEEP; returns tables + hits."""
-    pipe.train_models({("F18", GCODE_FLOW): case_dataset})
+    pipe.train_models({FlowPairKey("F18", GCODE_FLOW): case_dataset})
     tables = []
     hits = 0
     for h in H_SWEEP:

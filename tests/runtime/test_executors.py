@@ -3,13 +3,7 @@
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.runtime import (
-    EXECUTORS,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    get_executor,
-)
+from repro.runtime import ProcessExecutor, SerialExecutor, get_executor
 
 
 def _double(x):
@@ -23,68 +17,48 @@ def _explode(x):
 
 JOBS = [1, 2, 3, 4, 5]
 
+#: One worker runs serially, more run the process pool.
+WORKERS = pytest.mark.parametrize(
+    "workers", [1, 2], ids=["serial", "process"]
+)
+
 
 class TestMapPairs:
-    @pytest.mark.parametrize("executor_name", sorted(EXECUTORS))
-    def test_results_in_job_order(self, executor_name):
-        executor = get_executor(executor_name, workers=2)
+    @WORKERS
+    def test_results_in_job_order(self, workers):
+        executor = get_executor(workers)
         assert executor.map_pairs(_double, JOBS) == [2, 4, 6, 8, 10]
 
-    @pytest.mark.parametrize("executor_name", sorted(EXECUTORS))
-    def test_empty_jobs(self, executor_name):
-        executor = get_executor(executor_name, workers=2)
+    @WORKERS
+    def test_empty_jobs(self, workers):
+        executor = get_executor(workers)
         assert executor.map_pairs(_double, []) == []
 
     def test_serial_propagates_exceptions(self):
         with pytest.raises(ValueError, match="boom"):
             SerialExecutor().map_pairs(_explode, JOBS)
 
-    def test_thread_propagates_exceptions(self):
+    def test_process_propagates_exceptions(self):
         with pytest.raises(ValueError, match="boom"):
-            ThreadExecutor(2).map_pairs(_explode, JOBS)
+            ProcessExecutor(2).map_pairs(_explode, JOBS)
 
 
 class TestResolution:
-    def test_instance_passthrough(self):
-        executor = ThreadExecutor(3)
-        assert get_executor(executor) is executor
-
     def test_default_is_serial_for_one_worker(self):
-        assert isinstance(get_executor(None, workers=1), SerialExecutor)
-        assert isinstance(get_executor(None, workers=None), SerialExecutor)
+        assert isinstance(get_executor(1), SerialExecutor)
+        assert isinstance(get_executor(None), SerialExecutor)
 
     def test_default_is_process_for_many_workers(self):
-        executor = get_executor(None, workers=4)
+        executor = get_executor(4)
         assert isinstance(executor, ProcessExecutor)
         assert executor.workers == 4
 
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown executor"):
-            get_executor("quantum")
-
     def test_bad_worker_counts_rejected(self):
         with pytest.raises(ConfigurationError):
-            ThreadExecutor(0)
+            ProcessExecutor(0)
         with pytest.raises(ConfigurationError):
             ProcessExecutor(-1)
 
-    def test_bad_start_method_rejected(self):
-        with pytest.raises(ConfigurationError, match="start_method"):
-            ProcessExecutor(1, start_method="telepathy")
-
-    def test_duck_typed_executor_accepted(self):
-        class Custom:
-            def map_pairs(self, fn, jobs):
-                return [fn(j) for j in jobs]
-
-        custom = Custom()
-        assert get_executor(custom) is custom
-
-    def test_non_executor_rejected(self):
-        with pytest.raises(ConfigurationError, match="map_pairs"):
-            get_executor(42)
-
     def test_in_process_flags(self):
         assert SerialExecutor().in_process
-        assert ThreadExecutor(2).in_process
         assert not ProcessExecutor(2).in_process
