@@ -51,6 +51,38 @@ class TestModels:
             make_synth(sample_rate=0)
 
 
+class TestMicrophoneFilter:
+    """The band-pass is a linear (not circular) zero-phase filter."""
+
+    SR = 12000.0
+
+    def test_click_at_end_does_not_wrap_to_start(self):
+        mic = ContactMicrophone(noise_level=0.0)
+        x = np.zeros(48000)
+        x[-1] = 1.0
+        out = mic.apply(x, self.SR, None)
+        assert np.abs(out[:200]).max() < 1e-4
+
+    @pytest.mark.parametrize("n", [20011, 135601, 48000])
+    def test_trailing_zeros_do_not_change_output(self, n):
+        # 20011 is prime and 135601 is a large prime factor of a real
+        # trace length: the output must not depend on how n factors.
+        mic = ContactMicrophone(noise_level=0.0)
+        x = np.random.default_rng(n).normal(size=n)
+        out = mic.apply(x, self.SR, None)
+        padded = mic.apply(np.concatenate([x, np.zeros(5000)]), self.SR, None)
+        assert np.abs(padded[:n] - out).max() < 1e-4
+
+    def test_noise_draws_exactly_n_normals(self):
+        n = 20011
+        mic = ContactMicrophone()
+        rng = np.random.default_rng(3)
+        mic.apply(np.ones(n), self.SR, rng)
+        expected = np.random.default_rng(3)
+        expected.normal(0.0, 1.0, size=n)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+
 class TestSegmentSynthesis:
     def test_length_matches_duration(self):
         synth = make_synth(sample_rate=12000.0)
