@@ -8,8 +8,14 @@ vendors the seed implementations verbatim (modulo imports):
   kernel rebuilt for every scale on every call),
 * the per-segment feature-extraction loop and the double-extracting
   ``fit().transform()`` chain the seed ``fit_transform`` performed,
-* the allocating Dense/BatchNorm layers and optimizers driving the seed
-  CGAN training step.
+* the seed CGAN training loop (Algorithm 2) with its allocating Dense
+  layers, sign-masked sigmoid, per-tensor Adam updates and
+  ``hstack``/``vstack`` batch assembly.
+
+The training side is self-contained: it subclasses nothing from
+``repro`` and imports only numpy, so optimizing the library can never
+silently change the "before" it is measured against.  The benchmark
+asserts that both sides reach bitwise-equal weights.
 
 Nothing here is exported through the library; it exists only so the
 benchmark's "looped"/"before" numbers keep meaning something once the
@@ -22,22 +28,6 @@ import numpy as np
 
 from repro.dsp.features import MinMaxScaler
 from repro.dsp.wavelet import DEFAULT_OMEGA0, frequency_to_scale
-from repro.gan.cgan import ConditionalGAN
-from repro.nn.activations import Sigmoid
-from repro.nn.layers import BatchNorm, Dense
-from repro.nn.optimizers import SGD, Adam, RMSProp
-
-
-class LegacySigmoid(Sigmoid):
-    """Seed sigmoid: sign-masked gather/scatter evaluation."""
-
-    def forward(self, x, out=None):
-        out = np.empty_like(x)
-        pos = x >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-        ex = np.exp(x[~pos])
-        out[~pos] = ex / (1.0 + ex)
-        return out
 
 
 # --------------------------------------------------------------------------
@@ -92,92 +82,119 @@ def legacy_fit_transform(segments, sample_rate, frequencies):
 
 
 # --------------------------------------------------------------------------
-# Seed NN hot path: allocating layers and optimizers.
+# Seed NN hot path: allocating layers, per-tensor Adam, seed Algorithm 2.
 # --------------------------------------------------------------------------
-class LegacyDense(Dense):
+_EPS = 1e-12
+
+
+def _he_uniform(shape, rng):
+    limit = np.sqrt(6.0 / shape[0])
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _glorot_uniform(shape, rng):
+    limit = np.sqrt(6.0 / (shape[0] + shape[1]))
+    return rng.uniform(-limit, limit, size=shape)
+
+
+def _sigmoid(x):
+    """Seed sigmoid: sign-masked gather/scatter evaluation."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+#: name -> (forward(x), derivative(x, y)), as in the seed activations.
+_ACTIVATIONS = {
+    "relu": (
+        lambda x: np.maximum(x, 0.0),
+        lambda x, y: (x > 0.0).astype(x.dtype),
+    ),
+    "leaky_relu": (
+        lambda x: np.where(x > 0.0, x, 0.2 * x),
+        lambda x, y: np.where(x > 0.0, 1.0, 0.2).astype(x.dtype),
+    ),
+    "sigmoid": (_sigmoid, lambda x, y: y * (1.0 - y)),
+}
+
+
+class LegacyDense:
     """Seed ``Dense``: fresh arrays for pre-activations and gradients."""
 
-    def forward(self, x, training=False):
-        x = np.asarray(x, dtype=np.float64)
+    def __init__(self, units, activation, init=_glorot_uniform):
+        self.units = units
+        self.act, self.act_grad = _ACTIVATIONS[activation]
+        self.init = init
+
+    def build(self, input_dim, rng):
+        self.W = self.init((input_dim, self.units), rng)
+        self.b = np.zeros(self.units, dtype=np.float64)
+        self.dW = self.db = None
+        return self.units
+
+    def parameters(self):
+        return {"W": self.W, "b": self.b}
+
+    def gradients(self):
+        return {"W": self.dW, "b": self.db}
+
+    def forward(self, x):
         self._x = x
-        self._ws = None
-        pre = x @ self.W
-        if self.use_bias:
-            pre = pre + self.b
-        self._pre = pre
-        self._out = self.activation.forward(pre) if self.activation else pre
+        self._pre = x @ self.W + self.b
+        self._out = self.act(self._pre)
         return self._out
 
     def backward(self, grad_out):
-        grad_out = np.asarray(grad_out, dtype=np.float64)
-        if self.activation:
-            grad_pre = grad_out * self.activation.backward(self._pre, self._out)
-        else:
-            grad_pre = grad_out
+        grad_pre = grad_out * self.act_grad(self._pre, self._out)
         self.dW = self._x.T @ grad_pre
-        if self.use_bias:
-            self.db = grad_pre.sum(axis=0)
+        self.db = grad_pre.sum(axis=0)
         return grad_pre @ self.W.T
 
 
-class LegacyBatchNorm(BatchNorm):
-    """Seed ``BatchNorm``: rebinds running stats, allocates per step."""
+class LegacySequential:
+    """Seed ``Sequential``: a plain list of layers."""
 
-    def forward(self, x, training=False):
-        x = np.asarray(x, dtype=np.float64)
-        if training:
-            mean = x.mean(axis=0)
-            var = x.var(axis=0)
-            m = self.momentum
-            self.running_mean = m * self.running_mean + (1 - m) * mean
-            self.running_var = m * self.running_var + (1 - m) * var
-        else:
-            mean = self.running_mean
-            var = self.running_var
-        inv_std = 1.0 / np.sqrt(var + self.eps)
-        x_hat = (x - mean) * inv_std
-        self._cache = (x_hat, inv_std) if training else None
-        return self.gamma * x_hat + self.beta
+    def __init__(self, layers, input_dim, rng):
+        self.layers = layers
+        for layer in layers:
+            input_dim = layer.build(input_dim, rng)
 
-    def backward(self, grad_out):
-        if self._cache is None:
-            inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            return grad_out * self.gamma * inv_std
-        x_hat, inv_std = self._cache
-        n = grad_out.shape[0]
-        self.dgamma = (grad_out * x_hat).sum(axis=0)
-        self.dbeta = grad_out.sum(axis=0)
-        dxhat = grad_out * self.gamma
-        return (
-            inv_std
-            / n
-            * (n * dxhat - dxhat.sum(axis=0) - x_hat * (dxhat * x_hat).sum(axis=0))
-        )
+    def forward(self, x):
+        for layer in self.layers:
+            x = layer.forward(x)
+        return x
+
+    def backward(self, grad):
+        for layer in reversed(self.layers):
+            grad = layer.backward(grad)
+        return grad
+
+    def get_weights(self):
+        return {
+            f"{li}.{name}": arr.copy()
+            for li, layer in enumerate(self.layers)
+            for name, arr in layer.parameters().items()
+        }
 
 
-class LegacySGD(SGD):
-    def update(self, key, param, grad):
-        if self.momentum == 0.0:
-            param -= self.learning_rate * grad
-            return
-        buf = self._state.setdefault(key, np.zeros_like(param))
-        buf *= self.momentum
-        buf -= self.learning_rate * grad
-        if self.nesterov:
-            param += self.momentum * buf - self.learning_rate * grad
-        else:
-            param += buf
+class LegacyAdam:
+    """Seed Adam: one allocating update per ``(layer, name)`` tensor."""
 
+    def __init__(self, learning_rate, beta1=0.5, beta2=0.999, eps=1e-8):
+        self.learning_rate = learning_rate
+        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self._state = {}
 
-class LegacyRMSProp(RMSProp):
-    def update(self, key, param, grad):
-        acc = self._state.setdefault(key, np.zeros_like(param))
-        acc *= self.rho
-        acc += (1.0 - self.rho) * grad * grad
-        param -= self.learning_rate * grad / (np.sqrt(acc) + self.eps)
+    def step(self, layers):
+        for li, layer in enumerate(layers):
+            grads = layer.gradients()
+            for name, param in layer.parameters().items():
+                if grads[name] is not None:
+                    self.update((li, name), param, grads[name])
 
-
-class LegacyAdam(Adam):
     def update(self, key, param, grad):
         m, v, t = self._state.setdefault(
             key, [np.zeros_like(param), np.zeros_like(param), 0]
@@ -193,66 +210,84 @@ class LegacyAdam(Adam):
         param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
-class LegacyConditionalGAN(ConditionalGAN):
-    """Seed training steps: hstack/vstack assembly, fresh noise arrays."""
+class LegacyConditionalGAN:
+    """Seed CGAN and Algorithm 2 loop: default layer stacks, Adam(2e-3),
+    Gaussian noise, non-saturating generator loss, ``k = 1``."""
 
-    def _d_step(self, real_x, real_c, *, label_smoothing):
-        from repro.nn.losses import discriminator_loss
+    def __init__(self, feature_dim, condition_dim, *, noise_dim=16, seed=None):
+        self.feature_dim = feature_dim
+        self.noise_dim = noise_dim
+        init_rng, self._train_rng = (
+            np.random.default_rng(child)
+            for child in np.random.SeedSequence(seed).spawn(2)
+        )
+        self.generator = LegacySequential(
+            [
+                LegacyDense(64, "relu", _he_uniform),
+                LegacyDense(64, "relu", _he_uniform),
+                LegacyDense(feature_dim, "sigmoid"),
+            ],
+            noise_dim + condition_dim,
+            init_rng,
+        )
+        self.discriminator = LegacySequential(
+            [
+                LegacyDense(64, "leaky_relu", _he_uniform),
+                LegacyDense(32, "leaky_relu", _he_uniform),
+                LegacyDense(1, "sigmoid"),
+            ],
+            feature_dim + condition_dim,
+            init_rng,
+        )
+        self._g_opt = LegacyAdam(2e-3)
+        self._d_opt = LegacyAdam(2e-3)
+        self.history = []
 
+    def _d_step(self, real_x, real_c):
         n = real_x.shape[0]
-        z = self.sample_noise(n)
-        fake_x = self.generator.forward(np.hstack([z, real_c]), training=True)
+        z = self._train_rng.normal(0.0, 1.0, size=(n, self.noise_dim))
+        fake_x = self.generator.forward(np.hstack([z, real_c]))
         d_in = np.vstack(
             [np.hstack([real_x, real_c]), np.hstack([fake_x, real_c])]
         )
-        targets = np.vstack(
-            [np.full((n, 1), 1.0 - label_smoothing), np.zeros((n, 1))]
-        )
-        preds = self.discriminator.forward(d_in, training=True)
-        self.discriminator.backward(self._bce.gradient(preds, targets))
+        targets = np.vstack([np.full((n, 1), 1.0), np.zeros((n, 1))])
+        preds = self.discriminator.forward(d_in)
+        p = np.clip(preds, _EPS, 1.0 - _EPS)
+        self.discriminator.backward((p - targets) / (p * (1.0 - p)) / p.size)
         self._d_opt.step(self.discriminator.layers)
-        return discriminator_loss(preds[:n], preds[n:])
+        d_real = np.clip(preds[:n], _EPS, 1.0 - _EPS)
+        d_fake = np.clip(preds[n:], _EPS, 1.0 - _EPS)
+        return float(-(np.mean(np.log(d_real)) + np.mean(np.log(1.0 - d_fake))))
 
     def _g_step(self, cond_batch):
-        from repro.nn.losses import (
-            GeneratorLossMinimax,
-            GeneratorLossNonSaturating,
-        )
-
         n = cond_batch.shape[0]
-        z = self.sample_noise(n)
-        fake_x = self.generator.forward(np.hstack([z, cond_batch]), training=True)
-        d_pred = self.discriminator.forward(
-            np.hstack([fake_x, cond_batch]), training=True
-        )
-        grad_d_in = self.discriminator.backward(self._g_loss.gradient(d_pred))
-        grad_fake = grad_d_in[:, : self.feature_dim]
-        self.generator.backward(grad_fake)
+        z = self._train_rng.normal(0.0, 1.0, size=(n, self.noise_dim))
+        fake_x = self.generator.forward(np.hstack([z, cond_batch]))
+        d_pred = self.discriminator.forward(np.hstack([fake_x, cond_batch]))
+        p = np.clip(d_pred, _EPS, 1.0 - _EPS)
+        grad_d_in = self.discriminator.backward(-1.0 / p / p.size)
+        self.generator.backward(grad_d_in[:, : self.feature_dim])
         self._g_opt.step(self.generator.layers)
-        g_objective = GeneratorLossMinimax().value(d_pred)
-        g_loss = GeneratorLossNonSaturating().value(d_pred)
+        g_objective = float(np.mean(np.log(1.0 - np.clip(d_pred, _EPS, 1.0 - _EPS))))
+        g_loss = float(-np.mean(np.log(np.clip(d_pred, _EPS, 1.0 - _EPS))))
         return g_loss, g_objective
+
+    def train(self, dataset, *, iterations, batch_size):
+        rng = self._train_rng
+        order = rng.permutation(len(dataset))
+        features = dataset.features[order]
+        conditions = dataset.conditions[order]
+        for _ in range(iterations):
+            idx = rng.integers(0, len(features), size=batch_size)
+            d_loss = self._d_step(features[idx], conditions[idx])
+            idx = rng.integers(0, len(features), size=batch_size)
+            g_loss, g_objective = self._g_step(conditions[idx])
+            self.history.append((d_loss, g_loss, g_objective))
+        return self.history
 
 
 def build_legacy_cgan(feature_dim, condition_dim, *, noise_dim=16, seed=None):
-    """A CGAN wired entirely from the seed (allocating) components."""
-    gen = [
-        LegacyDense(64, "relu", kernel_init="he_uniform"),
-        LegacyDense(64, "relu", kernel_init="he_uniform"),
-        LegacyDense(feature_dim, LegacySigmoid()),
-    ]
-    disc = [
-        LegacyDense(64, "leaky_relu", kernel_init="he_uniform"),
-        LegacyDense(32, "leaky_relu", kernel_init="he_uniform"),
-        LegacyDense(1, LegacySigmoid()),
-    ]
+    """The seed CGAN, wired entirely from the vendored components above."""
     return LegacyConditionalGAN(
-        feature_dim,
-        condition_dim,
-        noise_dim=noise_dim,
-        generator_layers=gen,
-        discriminator_layers=disc,
-        g_optimizer=LegacyAdam(2e-3),
-        d_optimizer=LegacyAdam(2e-3),
-        seed=seed,
+        feature_dim, condition_dim, noise_dim=noise_dim, seed=seed
     )

@@ -34,6 +34,7 @@ from repro.nn.losses import (
     GeneratorLossMinimax,
     GeneratorLossNonSaturating,
     discriminator_loss,
+    generator_losses,
 )
 from repro.nn.network import Sequential
 from repro.nn.optimizers import Adam
@@ -169,7 +170,7 @@ class ConditionalGAN:
         self._g_opt = g_optimizer or Adam(learning_rate)
         self._d_opt = d_optimizer or Adam(learning_rate)
         if not hasattr(self._g_opt, "step") or not hasattr(self._d_opt, "step"):
-            raise ConfigurationError("optimizers must expose a step(layers) method")
+            raise ConfigurationError("optimizers must expose a step(network) method")
 
         self.history = TrainingHistory()
         self.snapshots: list = []
@@ -248,8 +249,10 @@ class ConditionalGAN:
         targets = bufs["targets"]
         targets[:n].fill(1.0 - label_smoothing)
         preds = self.discriminator.forward(d_in, training=True)
-        self.discriminator.backward(self._bce.gradient(preds, targets))
-        self._d_opt.step(self.discriminator.layers)
+        self.discriminator.backward(
+            self._bce.gradient(preds, targets), input_grad=False
+        )
+        self._d_opt.step(self.discriminator)
         return discriminator_loss(preds[:n], preds[n:])
 
     def _g_step(self, cond_batch):
@@ -258,7 +261,9 @@ class ConditionalGAN:
         The generator gradient flows through the (frozen) discriminator:
         we backprop the generator loss to the discriminator's *input*,
         slice off the feature columns, and continue into the generator.
-        The discriminator optimizer is simply not stepped.
+        The discriminator optimizer is not stepped, so its parameter
+        gradients are not computed; nothing reads the gradient w.r.t.
+        the generator's input either.
         """
         n = cond_batch.shape[0]
         bufs = self._step_buffers(n)
@@ -271,13 +276,13 @@ class ConditionalGAN:
         d_in[:, : self.feature_dim] = fake_x
         d_in[:, self.feature_dim :] = cond_batch
         d_pred = self.discriminator.forward(d_in, training=True)
-        grad_d_in = self.discriminator.backward(self._g_loss.gradient(d_pred))
+        grad_d_in = self.discriminator.backward(
+            self._g_loss.gradient(d_pred), param_grads=False
+        )
         grad_fake = grad_d_in[:, : self.feature_dim]
-        self.generator.backward(grad_fake)
-        self._g_opt.step(self.generator.layers)
-        g_objective = GeneratorLossMinimax().value(d_pred)
-        g_loss = GeneratorLossNonSaturating().value(d_pred)
-        return g_loss, g_objective
+        self.generator.backward(grad_fake, input_grad=False)
+        self._g_opt.step(self.generator)
+        return generator_losses(d_pred)
 
     def train(
         self,

@@ -174,8 +174,10 @@ def save_training_checkpoint(
     marker.unlink(missing_ok=True)
     save_weights(cgan.generator, directory / "generator.npz")
     save_weights(cgan.discriminator, directory / "discriminator.npz")
-    save_optimizer_state(cgan._g_opt, directory / "opt_generator.npz")
-    save_optimizer_state(cgan._d_opt, directory / "opt_discriminator.npz")
+    save_optimizer_state(cgan._g_opt, cgan.generator, directory / "opt_generator.npz")
+    save_optimizer_state(
+        cgan._d_opt, cgan.discriminator, directory / "opt_discriminator.npz"
+    )
     cgan.history.to_csv(directory / "history.csv")
     payload = {
         "schema": CHECKPOINT_SCHEMA,
@@ -245,8 +247,12 @@ def restore_training_checkpoint(
     try:
         load_weights(cgan.generator, directory / "generator.npz")
         load_weights(cgan.discriminator, directory / "discriminator.npz")
-        load_optimizer_state(cgan._g_opt, directory / "opt_generator.npz")
-        load_optimizer_state(cgan._d_opt, directory / "opt_discriminator.npz")
+        load_optimizer_state(
+            cgan._g_opt, cgan.generator, directory / "opt_generator.npz"
+        )
+        load_optimizer_state(
+            cgan._d_opt, cgan.discriminator, directory / "opt_discriminator.npz"
+        )
         cgan.history = TrainingHistory.from_csv(directory / "history.csv")
         cgan.trained_iterations = int(payload["trained_iterations"])
         return TrainingCheckpointState(

@@ -75,9 +75,8 @@ class WassersteinConditionalGAN(ConditionalGAN):
         self.clip = float(clip)
 
     def _clip_critic(self):
-        for layer in self.discriminator.layers:
-            for param in layer.parameters().values():
-                np.clip(param, -self.clip, self.clip, out=param)
+        params = self.discriminator.params
+        np.clip(params, -self.clip, self.clip, out=params)
 
     def _d_step(self, real_x, real_c, *, label_smoothing: float):
         """Critic ascent: maximize E[D(real)] - E[D(fake)], then clip."""
@@ -92,8 +91,8 @@ class WassersteinConditionalGAN(ConditionalGAN):
         grad = np.empty_like(scores)
         grad[:n] = -1.0 / n
         grad[n:] = 1.0 / n
-        self.discriminator.backward(grad)
-        self._d_opt.step(self.discriminator.layers)
+        self.discriminator.backward(grad, input_grad=False)
+        self._d_opt.step(self.discriminator)
         self._clip_critic()
         critic_objective = float(scores[:n].mean() - scores[n:].mean())
         return -critic_objective  # Reported as a loss (rises toward 0).
@@ -107,10 +106,10 @@ class WassersteinConditionalGAN(ConditionalGAN):
             np.hstack([fake_x, cond_batch]), training=True
         )
         grad_d_in = self.discriminator.backward(
-            np.full_like(scores, -1.0 / n)
+            np.full_like(scores, -1.0 / n), param_grads=False
         )
-        self.generator.backward(grad_d_in[:, : self.feature_dim])
-        self._g_opt.step(self.generator.layers)
+        self.generator.backward(grad_d_in[:, : self.feature_dim], input_grad=False)
+        self._g_opt.step(self.generator)
         g_loss = float(-scores.mean())
         # No log(1-D) analogue exists for a critic; report the same value.
         return g_loss, g_loss

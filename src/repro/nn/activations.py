@@ -80,12 +80,19 @@ class LeakyReLU(Activation):
         if out is None:
             return np.where(x > 0.0, x, self.alpha * x)
         np.multiply(x, self.alpha, out=out)
+        if 0.0 < self.alpha <= 1.0:
+            # max(x, alpha*x) selects x exactly where x > 0 (signed zeros,
+            # infinities and NaN included), so no mask is materialized.
+            return np.maximum(x, out, out=out)
         np.copyto(out, x, where=x > 0.0)
         return out
 
     def backward(self, x, y, out=None):
         if out is None:
             return np.where(x > 0.0, 1.0, self.alpha).astype(x.dtype)
+        if self.alpha <= 1.0:
+            np.greater(x, 0.0, out=out)  # 1.0 where x > 0, else 0.0
+            return np.maximum(out, self.alpha, out=out)
         out.fill(self.alpha)
         out[x > 0.0] = 1.0
         return out

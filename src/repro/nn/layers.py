@@ -2,16 +2,21 @@
 
 The framework is deliberately small: GAN-Sec's generator and discriminator
 are conditional MLPs, so dense layers, activations, dropout, and batch
-normalization cover the whole paper.  Each layer owns its parameters and
-the gradients computed during the last backward pass; optimizers iterate
-``layer.parameters()`` / ``layer.gradients()`` pairs.
+normalization cover the whole paper.  Each layer exposes its parameters
+and the gradients computed during the last backward pass through
+``layer.parameters()`` / ``layer.gradients()``.  Inside a built
+:class:`~repro.nn.network.Sequential` both are views into the network's
+two packed vectors (see :meth:`Layer.bind`), so optimizers update a whole
+network in one elementwise pass.
 
 Conventions
 -----------
 * Batches are row-major: inputs have shape ``(batch, features)``.
 * ``forward(x, training=...)`` caches whatever ``backward`` needs.
-* ``backward(grad_out)`` returns the gradient w.r.t. the layer input and
-  stores parameter gradients internally.
+* ``backward(grad_out, param_grads, input_grad)`` writes parameter
+  gradients in place into the layer's gradient arrays (when
+  *param_grads*) and returns the gradient w.r.t. the layer input (when
+  *input_grad*, else ``None``).
 """
 
 from __future__ import annotations
@@ -39,6 +44,17 @@ class Layer:
         """Mapping of parameter name -> gradient ndarray from last backward."""
         return {}
 
+    def bind(self, params: dict, grads: dict) -> None:
+        """Rebind parameters and gradients to the given arrays.
+
+        :class:`~repro.nn.network.Sequential` passes views into its packed
+        parameter and gradient vectors; the gradient of parameter
+        ``name`` lives in attribute ``d<name>`` (``W`` -> ``dW``).
+        """
+        for name, view in params.items():
+            setattr(self, name, view)
+            setattr(self, "d" + name, grads[name])
+
     # -- computation --------------------------------------------------------
     def build(self, input_dim: int, rng) -> int:
         """Allocate parameters for a given input width; return output width."""
@@ -48,7 +64,7 @@ class Layer:
     def forward(self, x, training: bool = False):  # pragma: no cover - abstract
         raise NotImplementedError
 
-    def backward(self, grad_out):  # pragma: no cover - abstract
+    def backward(self, grad_out, param_grads=True, input_grad=True):  # pragma: no cover - abstract
         raise NotImplementedError
 
     def __repr__(self):
@@ -108,6 +124,8 @@ class Dense(Layer):
         rng = as_rng(rng)
         self.W = self.kernel_init((input_dim, self.units), rng)
         self.b = self.bias_init((self.units,), rng) if self.use_bias else None
+        self.dW = np.zeros_like(self.W)
+        self.db = np.zeros_like(self.b) if self.use_bias else None
         self.built = True
         self._workspaces.clear()
         self._ws = None
@@ -122,8 +140,6 @@ class Dense(Layer):
                 "out": np.empty((n, self.units), dtype=np.float64),
                 "deriv": np.empty((n, self.units), dtype=np.float64),
                 "grad_in": np.empty((n, in_dim), dtype=np.float64),
-                "dW": np.empty((in_dim, self.units), dtype=np.float64),
-                "db": np.empty(self.units, dtype=np.float64),
             }
             self._workspaces[n] = ws
         return ws
@@ -173,27 +189,25 @@ class Dense(Layer):
         self._out = self.activation.forward(pre) if self.activation else pre
         return self._out
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, param_grads=True, input_grad=True):
         grad_out = np.asarray(grad_out, dtype=np.float64)
         ws = self._ws if self._ws is not None and grad_out.shape == self._pre.shape else None
-        if ws is not None:
-            if self.activation:
-                deriv = self.activation.backward(self._pre, self._out, out=ws["deriv"])
-                grad_pre = np.multiply(grad_out, deriv, out=ws["deriv"])
-            else:
-                grad_pre = grad_out
-            self.dW = np.matmul(self._x.T, grad_pre, out=ws["dW"])
-            if self.use_bias:
-                self.db = grad_pre.sum(axis=0, out=ws["db"])
-            return np.matmul(grad_pre, self.W.T, out=ws["grad_in"])
-        if self.activation:
-            grad_pre = grad_out * self.activation.backward(self._pre, self._out)
-        else:
+        if self.activation is None:
             grad_pre = grad_out
-        self.dW = self._x.T @ grad_pre
-        if self.use_bias:
-            self.db = grad_pre.sum(axis=0)
-        return grad_pre @ self.W.T
+        elif ws is not None:
+            deriv = self.activation.backward(self._pre, self._out, out=ws["deriv"])
+            grad_pre = np.multiply(grad_out, deriv, out=ws["deriv"])
+        else:
+            grad_pre = grad_out * self.activation.backward(self._pre, self._out)
+        if param_grads:
+            np.matmul(self._x.T, grad_pre, out=self.dW)
+            if self.use_bias:
+                grad_pre.sum(axis=0, out=self.db)
+        if not input_grad:
+            return None
+        return np.matmul(
+            grad_pre, self.W.T, out=ws["grad_in"] if ws is not None else None
+        )
 
     def __repr__(self):
         act = self.activation.name if self.activation else "linear"
@@ -218,7 +232,9 @@ class ActivationLayer(Layer):
         self._y = self.activation.forward(self._x)
         return self._y
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, param_grads=True, input_grad=True):
+        if not input_grad:
+            return None
         return grad_out * self.activation.backward(self._x, self._y)
 
     def __repr__(self):
@@ -254,7 +270,9 @@ class Dropout(Layer):
         self._mask = (self._rng.random(x.shape) < keep) / keep
         return x * self._mask
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, param_grads=True, input_grad=True):
+        if not input_grad:
+            return None
         if self._mask is None:
             return grad_out
         return grad_out * self._mask
@@ -291,6 +309,8 @@ class BatchNorm(Layer):
     def build(self, input_dim, rng):
         self.gamma = np.ones(input_dim, dtype=np.float64)
         self.beta = np.zeros(input_dim, dtype=np.float64)
+        self.dgamma = np.zeros(input_dim, dtype=np.float64)
+        self.dbeta = np.zeros(input_dim, dtype=np.float64)
         self.running_mean = np.zeros(input_dim, dtype=np.float64)
         self.running_var = np.ones(input_dim, dtype=np.float64)
         self.built = True
@@ -306,8 +326,6 @@ class BatchNorm(Layer):
                 "var": np.empty(d, dtype=np.float64),
                 "inv_std": np.empty(d, dtype=np.float64),
                 "vec": np.empty(d, dtype=np.float64),
-                "dgamma": np.empty(d, dtype=np.float64),
-                "dbeta": np.empty(d, dtype=np.float64),
                 "x_hat": np.empty((n, d), dtype=np.float64),
                 "out": np.empty((n, d), dtype=np.float64),
                 "tmp": np.empty((n, d), dtype=np.float64),
@@ -356,9 +374,11 @@ class BatchNorm(Layer):
         self._cache = None
         return self.gamma * x_hat + self.beta
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, param_grads=True, input_grad=True):
         if self._cache is None:
             # Inference-mode backward: statistics are constants.
+            if not input_grad:
+                return None
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
             return grad_out * self.gamma * inv_std
         x_hat, inv_std = self._cache
@@ -368,9 +388,12 @@ class BatchNorm(Layer):
             # In-place mirror of the vectorized batchnorm backward below;
             # every ufunc call matches the allocating expression's
             # operand order, so gradients are bitwise identical.
-            tmp = np.multiply(grad_out, x_hat, out=ws["tmp"])
-            self.dgamma = tmp.sum(axis=0, out=ws["dgamma"])
-            self.dbeta = grad_out.sum(axis=0, out=ws["dbeta"])
+            if param_grads:
+                tmp = np.multiply(grad_out, x_hat, out=ws["tmp"])
+                tmp.sum(axis=0, out=self.dgamma)
+                grad_out.sum(axis=0, out=self.dbeta)
+            if not input_grad:
+                return None
             dxhat = np.multiply(grad_out, self.gamma, out=ws["dxhat"])
             out = np.multiply(n, dxhat, out=ws["tmp"])
             out -= dxhat.sum(axis=0, out=ws["vec"])
@@ -381,8 +404,11 @@ class BatchNorm(Layer):
             np.divide(inv_std, n, out=ws["vec"])
             out *= ws["vec"]
             return out
-        self.dgamma = (grad_out * x_hat).sum(axis=0)
-        self.dbeta = grad_out.sum(axis=0)
+        if param_grads:
+            (grad_out * x_hat).sum(axis=0, out=self.dgamma)
+            grad_out.sum(axis=0, out=self.dbeta)
+        if not input_grad:
+            return None
         dxhat = grad_out * self.gamma
         # Standard batchnorm backward (vectorized).
         return (

@@ -147,6 +147,16 @@ def discriminator_loss(d_real: np.ndarray, d_fake: np.ndarray, eps: float = _EPS
     return float(-(np.mean(np.log(d_real)) + np.mean(np.log(1.0 - d_fake))))
 
 
+def generator_losses(d_fake: np.ndarray, eps: float = _EPS) -> tuple:
+    """``(non-saturating loss, minimax objective)`` of ``D(G(z|c))``.
+
+    The two values :class:`GeneratorLossNonSaturating` and
+    :class:`GeneratorLossMinimax` report, from one clip of *d_fake*.
+    """
+    p = np.clip(np.asarray(d_fake, dtype=np.float64), eps, 1.0 - eps)
+    return float(-np.mean(np.log(p))), float(np.mean(np.log(1.0 - p)))
+
+
 _REGISTRY = {
     cls.name: cls
     for cls in (

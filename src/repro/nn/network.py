@@ -4,6 +4,12 @@
 hooks the GAN trainer needs: gradients w.r.t. the *input* (so generator
 gradients can flow through a frozen discriminator) and in-place parameter
 access for optimizers and serialization.
+
+A built network packs every layer parameter into one contiguous float64
+vector, :attr:`Sequential.params`, and every parameter gradient into a
+second one, :attr:`Sequential.grads`; the layers' ``W``/``b``/``gamma``/
+``beta`` arrays and their gradients are views into them.  An optimizer
+step is therefore one elementwise pass over each vector.
 """
 
 from __future__ import annotations
@@ -40,6 +46,8 @@ class Sequential:
                 raise ConfigurationError(f"not a Layer: {layer!r}")
         self.input_dim = None
         self.output_dim = None
+        self.params = None
+        self.grads = None
         if input_dim is not None:
             self.build(input_dim, seed)
 
@@ -52,7 +60,40 @@ class Sequential:
         for layer in self.layers:
             dim = layer.build(dim, rng)
         self.output_dim = dim
+        self._pack()
         return self
+
+    def _pack(self) -> None:
+        """Copy layer parameters and gradients into two packed vectors and
+        rebind the layers to views of them (in :meth:`parameters` order)."""
+        size = self.num_parameters()
+        self.params = np.empty(size, dtype=np.float64)
+        self.grads = np.empty(size, dtype=np.float64)
+        offset = 0
+        for layer in self.layers:
+            grads = layer.gradients()
+            param_views, grad_views = {}, {}
+            for name, arr in layer.parameters().items():
+                stop = offset + arr.size
+                param_views[name] = self.params[offset:stop].reshape(arr.shape)
+                grad_views[name] = self.grads[offset:stop].reshape(arr.shape)
+                param_views[name][...] = arr
+                grad_views[name][...] = grads[name]
+                offset = stop
+            layer.bind(param_views, grad_views)
+
+    # copy.deepcopy and pickle copy each view as an independent array, so
+    # a copied network re-packs itself: training the copy must update the
+    # arrays its forward pass reads.
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        state["params"] = state["grads"] = None
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        if self.built:
+            self._pack()
 
     @property
     def built(self) -> bool:
@@ -80,16 +121,23 @@ class Sequential:
         """Inference-mode forward pass (dropout off, batchnorm running stats)."""
         return self.forward(x, training=False)
 
-    def backward(self, grad_out) -> np.ndarray:
+    def backward(self, grad_out, *, param_grads=True, input_grad=True):
         """Backpropagate *grad_out* (d loss / d output) through all layers.
 
-        Returns the gradient w.r.t. the network input — the GAN trainer
-        feeds this into the generator when the discriminator is the head
-        of the composed model.
+        Parameter gradients are written into :attr:`grads` unless
+        *param_grads* is false (a frozen network whose optimizer is not
+        stepped).  Returns the gradient w.r.t. the network input — the
+        GAN trainer feeds this into the generator when the discriminator
+        is the head of the composed model — or ``None`` when
+        *input_grad* is false and nothing reads it.  Every gradient that
+        is computed has the same value either way.
         """
         grad = np.asarray(grad_out, dtype=np.float64)
+        first = self.layers[0]
         for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+            grad = layer.backward(
+                grad, param_grads, input_grad or layer is not first
+            )
         return grad
 
     # -- parameters ---------------------------------------------------------
@@ -169,8 +217,8 @@ class Sequential:
                 idx = order[start : start + batch_size]
                 pred = self.forward(x[idx], training=True)
                 losses.append(loss_fn.value(pred, y[idx]))
-                self.backward(loss_fn.gradient(pred, y[idx]))
-                opt.step(self.layers)
+                self.backward(loss_fn.gradient(pred, y[idx]), input_grad=False)
+                opt.step(self)
             history.append(float(np.mean(losses)))
             if verbose:
                 print(f"epoch {epoch + 1}/{epochs}: loss={history[-1]:.6f}")

@@ -1,9 +1,13 @@
-"""First-order optimizers operating on (parameter, gradient) dictionaries.
+"""First-order optimizers operating on a network's packed vectors.
 
-An optimizer holds per-parameter state keyed by ``(layer_index, name)``.
-The network calls :meth:`Optimizer.step` with the list of layers after a
-backward pass; updates are applied in place so layer parameter arrays keep
-their identity (which the serialization code relies on).
+A built :class:`~repro.nn.network.Sequential` keeps all its parameters in
+one contiguous vector (``net.params``) and their gradients in another
+(``net.grads``).  :meth:`Optimizer.step` updates ``net.params`` in place
+with one elementwise pass, so the layers' parameter arrays — views into
+that vector — keep their identity (which the serialization code relies
+on).  Optimizer state is one flat array per slot (momentum buffer, Adam
+moments) laid out like ``net.params``, plus the step counter
+:attr:`Optimizer.iterations`.
 """
 
 from __future__ import annotations
@@ -14,53 +18,49 @@ from repro.errors import ConfigurationError
 
 
 class Optimizer:
-    """Base class: subclasses implement :meth:`update` for one tensor."""
+    """Base class: subclasses implement :meth:`update` on packed vectors."""
+
+    #: Number of flat state arrays the update keeps across steps.
+    slots = 0
 
     def __init__(self, learning_rate: float):
         if learning_rate <= 0:
             raise ConfigurationError(f"learning_rate must be > 0, got {learning_rate}")
         self.learning_rate = float(learning_rate)
-        self._state: dict = {}
-        self._scratch: dict = {}
+        self._state: list = []
+        self._scratch = None
         self.iterations = 0
 
     def reset(self):
         """Drop accumulated state (momentum buffers, moment estimates)."""
-        self._state.clear()
-        self._scratch.clear()
+        self._state = []
+        self._scratch = None
         self.iterations = 0
 
-    def _scratch_for(self, param):
-        """Two reusable work arrays shaped like *param*.
+    def step(self, net) -> None:
+        """Apply one update to *net*'s packed parameter vector.
 
-        Updates run sequentially, so one scratch pair per shape serves
-        every parameter; subclasses write their intermediate products
-        here instead of allocating per step.  All in-place update
-        sequences replicate the allocating formulas operation-for-
-        operation, so parameter trajectories are bitwise unchanged.
+        *net* is a built :class:`~repro.nn.network.Sequential` (anything
+        with flat ``params`` and ``grads`` vectors).  The state slots and
+        two scratch vectors are allocated on the first step; every later
+        step writes through them, replicating the allocating update
+        formulas operation for operation, so trajectories are bitwise
+        those of a per-tensor update.
         """
-        pair = self._scratch.get(param.shape)
-        if pair is None:
-            pair = (
-                np.empty_like(param, dtype=np.float64),
-                np.empty_like(param, dtype=np.float64),
+        params, grads = net.params, net.grads
+        if not self._state:
+            self._state = [np.zeros_like(params) for _ in range(self.slots)]
+        elif self._state[0].shape != params.shape:
+            raise ConfigurationError(
+                f"optimizer state holds {self._state[0].size} parameters, "
+                f"network has {params.size}"
             )
-            self._scratch[param.shape] = pair
-        return pair
-
-    def step(self, layers) -> None:
-        """Apply one update to every trainable parameter of *layers*."""
+        if self._scratch is None or self._scratch[0].shape != params.shape:
+            self._scratch = (np.empty_like(params), np.empty_like(params))
         self.iterations += 1
-        for li, layer in enumerate(layers):
-            params = layer.parameters()
-            grads = layer.gradients()
-            for name, param in params.items():
-                grad = grads.get(name)
-                if grad is None:
-                    continue
-                self.update((li, name), param, np.asarray(grad, dtype=np.float64))
+        self.update(params, grads)
 
-    def update(self, key, param, grad):  # pragma: no cover - abstract
+    def update(self, param, grad):  # pragma: no cover - abstract
         raise NotImplementedError
 
     def __repr__(self):
@@ -83,16 +83,15 @@ class SGD(Optimizer):
             raise ConfigurationError("nesterov requires momentum > 0")
         self.momentum = float(momentum)
         self.nesterov = bool(nesterov)
+        self.slots = 1 if self.momentum else 0
 
-    def update(self, key, param, grad):
-        s1, s2 = self._scratch_for(param)
+    def update(self, param, grad):
+        s1, s2 = self._scratch
         np.multiply(grad, self.learning_rate, out=s1)  # lr * grad
         if self.momentum == 0.0:
             param -= s1
             return
-        buf = self._state.get(key)
-        if buf is None:
-            buf = self._state[key] = np.zeros_like(param)
+        (buf,) = self._state
         buf *= self.momentum
         buf -= s1
         if self.nesterov:
@@ -106,6 +105,8 @@ class SGD(Optimizer):
 class RMSProp(Optimizer):
     """RMSProp with an exponentially decayed squared-gradient average."""
 
+    slots = 1
+
     def __init__(self, learning_rate: float = 0.001, rho: float = 0.9, eps: float = 1e-8):
         super().__init__(learning_rate)
         if not 0.0 < rho < 1.0:
@@ -113,11 +114,9 @@ class RMSProp(Optimizer):
         self.rho = float(rho)
         self.eps = float(eps)
 
-    def update(self, key, param, grad):
-        s1, s2 = self._scratch_for(param)
-        acc = self._state.get(key)
-        if acc is None:
-            acc = self._state[key] = np.zeros_like(param)
+    def update(self, param, grad):
+        s1, s2 = self._scratch
+        (acc,) = self._state
         acc *= self.rho
         np.multiply(grad, 1.0 - self.rho, out=s1)
         s1 *= grad  # (1 - rho) * grad * grad
@@ -133,8 +132,11 @@ class Adam(Optimizer):
     """Adam (Kingma & Ba) with bias-corrected first/second moments.
 
     The de-facto GAN optimizer; ``beta1=0.5`` is the common GAN setting
-    (following DCGAN) and the library default for Algorithm 2.
+    (following DCGAN) and the library default for Algorithm 2.  The
+    bias-correction step count is :attr:`iterations`.
     """
+
+    slots = 2
 
     def __init__(
         self,
@@ -152,17 +154,10 @@ class Adam(Optimizer):
         self.beta2 = float(beta2)
         self.eps = float(eps)
 
-    def update(self, key, param, grad):
-        s1, s2 = self._scratch_for(param)
-        state = self._state.get(key)
-        if state is None:
-            state = self._state[key] = [
-                np.zeros_like(param),
-                np.zeros_like(param),
-                0,
-            ]
-        m, v, t = state
-        t += 1
+    def update(self, param, grad):
+        s1, s2 = self._scratch
+        m, v = self._state
+        t = self.iterations
         m *= self.beta1
         np.multiply(grad, 1.0 - self.beta1, out=s1)
         m += s1
@@ -170,7 +165,6 @@ class Adam(Optimizer):
         np.multiply(grad, 1.0 - self.beta2, out=s1)
         s1 *= grad  # (1 - beta2) * grad * grad
         v += s1
-        self._state[key][2] = t
         np.divide(m, 1.0 - self.beta1**t, out=s1)  # m_hat
         s1 *= self.learning_rate
         np.divide(v, 1.0 - self.beta2**t, out=s2)  # v_hat

@@ -134,10 +134,10 @@ class ScheduledOptimizer:
     def current_rate(self) -> float:
         return self.base_rate * self.schedule(self.optimizer.iterations)
 
-    def step(self, layers) -> None:
+    def step(self, net) -> None:
         self.optimizer.learning_rate = self.current_rate
         try:
-            self.optimizer.step(layers)
+            self.optimizer.step(net)
         finally:
             self.optimizer.learning_rate = self.base_rate
 

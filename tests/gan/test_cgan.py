@@ -150,6 +150,38 @@ class TestTraining:
             cgan.train(toy_dataset, iterations=5, label_smoothing=0.7)
 
 
+class TestCopies:
+    """Copied and unpickled CGANs re-pack their networks: training the
+    copy must move the arrays its forward pass reads, exactly as
+    training the original does (Figure 9 snapshots and the process
+    pool rely on both)."""
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_copy_continues_training_bitwise(self, toy_dataset, how):
+        import copy
+        import pickle
+
+        cgan = small_cgan()
+        cgan.train(toy_dataset, iterations=10, batch_size=8)
+        if how == "deepcopy":
+            twin = copy.deepcopy(cgan)
+        else:
+            twin = pickle.loads(pickle.dumps(cgan))
+        for net in (twin.generator, twin.discriminator):
+            for _li, _name, arr in net.parameters():
+                assert np.shares_memory(arr, net.params)
+        cgan.train(toy_dataset, iterations=5, batch_size=8)
+        twin.train(toy_dataset, iterations=5, batch_size=8)
+        for mine, theirs in (
+            (cgan.generator, twin.generator),
+            (cgan.discriminator, twin.discriminator),
+        ):
+            want, got = mine.get_weights(), theirs.get_weights()
+            for key in want:
+                np.testing.assert_array_equal(got[key], want[key])
+        np.testing.assert_array_equal(twin.history.g_loss, cgan.history.g_loss)
+
+
 class TestStateChecks:
     def test_require_trained(self):
         with pytest.raises(NotFittedError):

@@ -105,6 +105,64 @@ class TestWeights:
         assert not np.allclose(net.predict(x), twin.predict(x))
 
 
+def _train_steps(net, opt, k):
+    rng = np.random.default_rng(5)
+    for _ in range(k):
+        x = rng.normal(size=(6, net.input_dim))
+        net.forward(x, training=True)
+        net.backward(np.ones((6, net.output_dim)) / 6)
+        opt.step(net)
+
+
+def _assert_packed(net):
+    for _li, _name, arr in net.parameters():
+        assert np.shares_memory(arr, net.params)
+
+
+class TestPacking:
+    def test_layers_are_views_of_the_packed_vectors(self):
+        net = Sequential(
+            [Dense(8, "relu"), BatchNorm(), Dense(2)], input_dim=3, seed=0
+        )
+        _assert_packed(net)
+        assert net.params.size == net.num_parameters() == net.grads.size
+        for layer in net.layers:
+            for name, grad in layer.gradients().items():
+                assert np.shares_memory(grad, net.grads)
+        flat = np.concatenate([arr.ravel() for _, _, arr in net.parameters()])
+        np.testing.assert_array_equal(net.params, flat)
+
+    @pytest.mark.parametrize("how", ["clone", "deepcopy", "pickle"])
+    def test_copy_trains_like_the_original(self, how):
+        import copy
+        import pickle
+
+        from repro.nn.optimizers import Adam
+
+        net = Sequential(
+            [Dense(8, "relu"), BatchNorm(), Dense(2, "sigmoid")],
+            input_dim=3,
+            seed=0,
+        )
+        opt = Adam(0.05)
+        _train_steps(net, opt, 3)
+        if how == "clone":
+            twin = net.clone()
+        elif how == "deepcopy":
+            twin = copy.deepcopy(net)
+        else:
+            twin = pickle.loads(pickle.dumps(net))
+        _assert_packed(twin)
+        twin_opt = copy.deepcopy(opt)
+        before = net.get_weights()
+        _train_steps(net, opt, 4)
+        _train_steps(twin, twin_opt, 4)
+        got, want = twin.get_weights(), net.get_weights()
+        assert any(not np.array_equal(want[k], before[k]) for k in want)
+        for key in want:
+            np.testing.assert_array_equal(got[key], want[key])
+
+
 class TestFit:
     def test_loss_decreases_on_regression(self):
         rng = np.random.default_rng(0)

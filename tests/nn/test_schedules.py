@@ -74,24 +74,21 @@ class TestScheduledOptimizer:
     def test_rate_follows_schedule(self):
         opt = SGD(0.1)
         sched = attach_schedule(opt, StepDecay(every=1, factor=0.5))
-        layer = Dense(2)
-        layer.build(2, np.random.default_rng(0))
-        layer._x = np.ones((1, 2))  # Fake forward state.
+        net = Sequential([Dense(2)], input_dim=2, seed=0)
         # Manually drive: first step multiplier 0.5^0=1, second 0.5.
         assert sched.current_rate == pytest.approx(0.1)
-        layer.dW = np.ones_like(layer.W)
-        layer.db = np.ones_like(layer.b)
-        sched.step([layer])
+        net.grads.fill(1.0)  # Fake backward state.
+        before = net.params.copy()
+        sched.step(net)
+        np.testing.assert_allclose(net.params, before - 0.1)
         assert sched.current_rate == pytest.approx(0.05)
 
     def test_base_rate_restored_after_step(self):
         opt = Adam(0.01)
         sched = attach_schedule(opt, ExponentialDecay(0.5))
-        layer = Dense(2)
-        layer.build(2, np.random.default_rng(0))
-        layer.dW = np.ones_like(layer.W)
-        layer.db = np.ones_like(layer.b)
-        sched.step([layer])
+        net = Sequential([Dense(2)], input_dim=2, seed=0)
+        net.grads.fill(1.0)
+        sched.step(net)
         assert opt.learning_rate == 0.01
 
     def test_training_with_schedule_converges(self):
@@ -106,7 +103,7 @@ class TestScheduledOptimizer:
         for _ in range(200):
             pred = net.forward(x, training=True)
             net.backward(loss.gradient(pred, y))
-            sched.step(net.layers)
+            sched.step(net)
         assert loss.value(net.forward(x), y) < 0.01
 
     def test_usable_as_cgan_optimizer(self, toy_dataset):
